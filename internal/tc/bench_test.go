@@ -1,6 +1,7 @@
 package tc
 
 import (
+	"fmt"
 	"testing"
 
 	"costperf/internal/ssd"
@@ -81,6 +82,43 @@ func BenchmarkReadThroughReadCache(b *testing.B) {
 			b.Fatal(err)
 		}
 		tx.Abort()
+	}
+}
+
+// BenchmarkTxScan measures 10-row snapshot scans over a MassTree data
+// component as the version store grows: cost and allocations should stay
+// flat in the number of committed keys.
+func BenchmarkTxScan(b *testing.B) {
+	for _, keys := range []uint64{10000, 100000} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			c, err := New(Config{DC: newMassDC(), LogDevice: ssd.New(ssd.SamsungSSD)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := uint64(0); i < keys; {
+				tx, _ := c.Begin()
+				for end := i + 1000; i < end && i < keys; i++ {
+					tx.Write(workload.Key(i), workload.ValueFor(i, 100))
+				}
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tx, _ := c.Begin()
+				rows := 0
+				start := workload.Key(uint64(i*7919) % (keys - 10))
+				if err := tx.Scan(start, 10, func(_, _ []byte) bool { rows++; return true }); err != nil {
+					b.Fatal(err)
+				}
+				tx.Abort()
+				if rows != 10 {
+					b.Fatalf("scan returned %d rows", rows)
+				}
+			}
+		})
 	}
 }
 

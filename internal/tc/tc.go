@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"costperf/internal/fault"
+	"costperf/internal/masstree"
 	"costperf/internal/metrics"
 	"costperf/internal/obs"
 	"costperf/internal/recordcache"
@@ -58,6 +59,19 @@ type keyVersions struct {
 	droppedAt uint64
 }
 
+// visible returns the newest version at or below ts. When there is none,
+// decided reports whether the version store still settles the key (it did
+// not exist at ts) or GC truncated the list, leaving the data component's
+// globally visible pre-image as the answer.
+func (kv *keyVersions) visible(ts uint64) (v *version, decided bool) {
+	for i := range kv.vs {
+		if kv.vs[i].commitTS <= ts {
+			return &kv.vs[i], true
+		}
+	}
+	return nil, !kv.truncated
+}
+
 // Stats counts TC events.
 type Stats struct {
 	Begins           metrics.Counter
@@ -67,7 +81,7 @@ type Stats struct {
 	VersionStoreHits metrics.Counter // reads served by MVCC versions (log-buffer record cache)
 	ReadCacheHits    metrics.Counter // reads served by the read cache
 	DCReads          metrics.Counter // reads that had to go to the data component
-	VersionsDropped  metrics.Counter // versions reclaimed by GC
+	VersionsDropped  metrics.Counter // versions reclaimed by GC and trim-on-commit
 	Scans            metrics.Counter
 	// Retry meters the transient-fault retry budget spent on log I/O.
 	Retry metrics.RetryStats
@@ -116,8 +130,13 @@ type TC struct {
 	clock  atomic.Uint64 // logical timestamp: even granularity is fine
 	closed atomic.Bool
 
-	mu     sync.Mutex
-	mvcc   map[string]*keyVersions
+	mu   sync.Mutex
+	mvcc map[string]*keyVersions
+	// index is the ordered set of mvcc's keys, so a snapshot scan seeks to
+	// its cursor instead of sorting the whole version store. A key enters
+	// both on its first commit. Neither ever drops a key: GC leaves a
+	// truncation marker in mvcc rather than deleting the entry.
+	index  *masstree.Tree
 	active map[uint64]uint64 // txID -> beginTS
 	nextTx uint64
 	log    *rlog
@@ -143,6 +162,7 @@ func New(cfg Config) (*TC, error) {
 	tc := &TC{
 		cfg:    cfg,
 		mvcc:   map[string]*keyVersions{},
+		index:  masstree.New(nil),
 		active: map[uint64]uint64{},
 		nextTx: 1,
 		rcache: rc,
@@ -225,22 +245,20 @@ func (t *Tx) Read(key []byte) (_ []byte, _ bool, err error) {
 	// 2. MVCC version store: newest version with commitTS <= snapshot.
 	tc.mu.Lock()
 	if kv := tc.mvcc[string(key)]; kv != nil {
-		for _, v := range kv.vs {
-			if v.commitTS <= t.beginTS {
-				tc.mu.Unlock()
-				tc.stats.VersionStoreHits.Inc()
-				if ch != nil {
-					ch.Chase(1)
-					ch.Copy(len(v.val))
-					ch.Settle()
-				}
-				if v.isDelete {
-					return nil, false, nil
-				}
-				return v.val, true, nil
+		if v, decided := kv.visible(t.beginTS); v != nil {
+			val, ok := v.val, !v.isDelete
+			tc.mu.Unlock()
+			tc.stats.VersionStoreHits.Inc()
+			if ch != nil {
+				ch.Chase(1)
+				ch.Copy(len(val))
+				ch.Settle()
 			}
-		}
-		if !kv.truncated {
+			if !ok {
+				return nil, false, nil
+			}
+			return val, true, nil
+		} else if decided {
 			// Every version postdates the snapshot and nothing was GC'd:
 			// the key did not exist at the snapshot.
 			tc.mu.Unlock()
@@ -387,11 +405,16 @@ func (t *Tx) Commit() (err error) {
 		tc.stats.Aborts.Inc()
 		return err
 	}
+	// Trim-on-commit: each installed key keeps only what a live snapshot
+	// can still read, so the version store stays at one version per key
+	// unless a snapshot is long-lived.
+	oldest := tc.oldestSnapshot()
 	for _, w := range rec.entries {
 		kv := tc.mvcc[string(w.key)]
 		if kv == nil {
 			kv = &keyVersions{}
 			tc.mvcc[string(w.key)] = kv
+			tc.index.Put(w.key, nil)
 		}
 		if len(kv.vs) == 0 && kv.truncated {
 			// First commit to a key whose versions were GC-truncated: the
@@ -407,9 +430,7 @@ func (t *Tx) Commit() (err error) {
 			kv.vs = []version{{val: pv, commitTS: 0, isDelete: !pok}}
 			kv.truncated = false
 		}
-		kv.vs = append([]version{{
-			val: w.val, commitTS: commitTS, isDelete: w.isDelete,
-		}}, kv.vs...)
+		tc.install(kv, version{val: w.val, commitTS: commitTS, isDelete: w.isDelete}, oldest)
 	}
 	for _, w := range rec.entries {
 		tc.rcache.Invalidate(w.key)
@@ -443,19 +464,61 @@ func (t *Tx) Abort() {
 // Flush forces the recovery log to the device (group commit).
 func (tc *TC) Flush() error { return tc.log.flush() }
 
-// GC trims versions no active transaction can need: for each key, all
-// versions strictly older than the newest version visible to the oldest
-// active snapshot; keys whose newest version is globally visible are
-// dropped entirely (the data component holds the value).
-func (tc *TC) GC() {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
+// oldestSnapshot returns the begin timestamp of the oldest active
+// transaction, or the clock when none is active: no live or future
+// snapshot reads below it. The caller holds tc.mu.
+func (tc *TC) oldestSnapshot() uint64 {
 	oldest := tc.clock.Load()
 	for _, begin := range tc.active {
 		if begin < oldest {
 			oldest = begin
 		}
 	}
+	return oldest
+}
+
+// trim drops the versions of kv no snapshot at or after oldest can read:
+// it keeps every version newer than oldest plus the newest one at or
+// below it. The caller holds tc.mu.
+func (tc *TC) trim(kv *keyVersions, oldest uint64) {
+	for i, v := range kv.vs {
+		if v.commitTS > oldest {
+			continue
+		}
+		if cut := i + 1; cut < len(kv.vs) {
+			tc.stats.VersionsDropped.Add(int64(len(kv.vs) - cut))
+			clear(kv.vs[cut:]) // release the dropped values
+			kv.vs = kv.vs[:cut]
+			kv.truncated = true
+		}
+		return
+	}
+}
+
+// install makes v, the newest commit, the head of kv's versions and trims
+// the list by oldest. When no snapshot predates v, the trim would keep v
+// alone, so v overwrites the list in place instead: the steady state of an
+// updated key is one version and no allocation per commit. The caller
+// holds tc.mu.
+func (tc *TC) install(kv *keyVersions, v version, oldest uint64) {
+	if v.commitTS <= oldest && len(kv.vs) > 0 {
+		tc.stats.VersionsDropped.Add(int64(len(kv.vs)))
+		clear(kv.vs)
+		kv.vs = append(kv.vs[:0], v)
+		kv.truncated = true
+		return
+	}
+	kv.vs = append([]version{v}, kv.vs...)
+	tc.trim(kv, oldest)
+}
+
+// GC trims versions no active transaction can need by trim's rule, and
+// additionally drops keys whose newest version is globally visible
+// entirely (the data component holds the value).
+func (tc *TC) GC() {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	oldest := tc.oldestSnapshot()
 	for _, kv := range tc.mvcc {
 		if len(kv.vs) == 0 {
 			continue // an existing truncation marker
@@ -475,19 +538,7 @@ func (tc *TC) GC() {
 			kv.droppedAt = tc.clock.Load()
 			continue
 		}
-		// Keep versions newer than oldest, plus one at-or-below it.
-		cut := len(kv.vs)
-		for i, v := range kv.vs {
-			if v.commitTS <= oldest {
-				cut = i + 1
-				break
-			}
-		}
-		if cut < len(kv.vs) {
-			tc.stats.VersionsDropped.Add(int64(len(kv.vs) - cut))
-			kv.vs = kv.vs[:cut]
-			kv.truncated = true
-		}
+		tc.trim(kv, oldest)
 	}
 }
 

@@ -302,6 +302,43 @@ func TestGCRespectsActiveSnapshots(t *testing.T) {
 	}
 }
 
+func TestTrimOnCommitRetention(t *testing.T) {
+	c := newTC(t, newMemDC())
+	versions := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.mvcc["k"].vs)
+	}
+	commitOne(t, c, "k", "v0", false)
+	reader, _ := c.Begin() // a long-open snapshot at v0
+	for i := 1; i <= 100; i++ {
+		commitOne(t, c, "k", fmt.Sprintf("v%d", i), false)
+	}
+	if v, ok, err := reader.Read([]byte("k")); err != nil || !ok || string(v) != "v0" {
+		t.Fatalf("long-open snapshot read = %q,%v,%v, want v0", v, ok, err)
+	}
+	if n := versions(); n != 101 {
+		t.Fatalf("versions with a snapshot open = %d, want 101", n)
+	}
+	reader.Abort()
+	commitOne(t, c, "k", "v101", false)
+	if n := versions(); n != 1 {
+		t.Fatalf("versions after the snapshot ended = %d, want 1", n)
+	}
+	if d := c.Stats().VersionsDropped.Value(); d != 101 {
+		t.Fatalf("VersionsDropped = %d, want 101", d)
+	}
+	// With no snapshot open, every commit leaves one version.
+	commitOne(t, c, "k", "v102", false)
+	if n := versions(); n != 1 {
+		t.Fatalf("versions after an unwatched recommit = %d, want 1", n)
+	}
+	r, _ := c.Begin()
+	if v, _, _ := r.Read([]byte("k")); string(v) != "v102" {
+		t.Fatalf("fresh read = %q, want v102", v)
+	}
+}
+
 func TestRecoveryReplaysCommittedOnly(t *testing.T) {
 	logDev := ssd.New(ssd.SamsungSSD)
 	dc := newMemDC()

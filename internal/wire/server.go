@@ -484,9 +484,12 @@ func (sc *srvConn) writer() {
 func (sc *srvConn) handle(req request) {
 	defer sc.s.wg.Done()
 	defer func() {
-		<-sc.sem
+		// Retire the request before freeing its window slot: the reader
+		// admits the next request as soon as the slot is free, and the
+		// in-flight gauge must never count it alongside this one.
 		sc.s.stats.InFlight.Add(-1)
 		sc.endRequest()
+		<-sc.sem
 	}()
 
 	// The request's priority class rides the context into the engine's

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's full verification pass: vet, build, the complete
-# test suite, and a race-enabled run of the concurrency-sensitive storage
-# packages (the ones the fault-injection, crash-recovery, and engine
-# front-end work hardens).
+# test suite, the perfbench module's vet and race-enabled tests, and a
+# race-enabled run of the concurrency-sensitive storage packages (the ones
+# the fault-injection, crash-recovery, and engine front-end work hardens).
 #
 # Set CHECK_SHORT=1 for the CI-friendly variant: identical coverage, but
 # the seeded chaos/crash matrices run their -short subset of seeds.
@@ -76,6 +76,12 @@ fi
 go vet ./...
 go build ./...
 go test $SHORT ./...
+# perfbench is its own module (perfbench/README.md), so the runs above
+# never reach its checker tests: the decorators that serve a stale get or
+# drop a scan row through each benchmark stack, TC snapshot scans
+# included, and must be caught. Same module settings as perfbench/run.sh.
+(cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off &&
+    go vet ./... && go test -race ./...)
 if [ -n "${CHECK_RACE:-}" ]; then
     go test -race -short ./...
 else
