@@ -563,7 +563,7 @@ func runEngineMode(cfg engineModeConfig) {
 	fmt.Printf("  latency (us): p50=%.0f p95=%.0f p99=%.0f max=%.0f\n", lat.P50, lat.P95, lat.P99, lat.Max)
 	qw := st.WaitMicros.Snapshot()
 	if qw.Count > 0 {
-		fmt.Printf("  queue wait (us): n=%d p50=%.0f p95=%.0f p99=%.0f peak depth=%d\n",
+		fmt.Printf("  queue wait (us): n=%d p50=%d p95=%d p99=%d peak depth=%d\n",
 			qw.Count, qw.P50, qw.P95, qw.P99, st.QueuePeak.Value())
 	}
 	fmt.Printf("  engine: %s\n", st.String())

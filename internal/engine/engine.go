@@ -167,11 +167,12 @@ type Stats struct {
 	// its high-water mark.
 	QueueDepth metrics.Gauge
 	QueuePeak  metrics.Gauge
-	// WaitMicros samples wall-clock admission wait per queued operation;
-	// OpMicros samples wall-clock execution latency of admitted
-	// operations (both in microseconds).
-	WaitMicros metrics.Histogram
-	OpMicros   metrics.Histogram
+	// WaitMicros records wall-clock admission wait per queued operation;
+	// OpMicros records wall-clock execution latency of admitted
+	// operations, from grant to the store call's return (both in
+	// microseconds, lock-free).
+	WaitMicros obs.Histogram
+	OpMicros   obs.Histogram
 	// Breaker is the circuit state: healthy = closed, degraded = open,
 	// probing = half-open. Its Probes/Restores counters meter the
 	// half-open cycle; Degradations counts trips (including re-trips
@@ -249,53 +250,71 @@ func (e *Engine) RetryAfterHint() time.Duration { return e.lim.RetryAfter() }
 // e.g. to force a checkpoint).
 func (e *Engine) Store() Store { return e.cfg.Store }
 
+// admission is an admitted operation's hold on the engine: the limiter
+// ticket and the cancel of the default deadline admit applied (nil when
+// it applied none). finish releases it exactly once.
+type admission struct {
+	ticket overload.Ticket
+	cancel context.CancelFunc
+}
+
 // admit acquires an execution slot at the given priority class, applying
-// the default deadline. The returned done func releases the slot and must
-// be called exactly once when err is nil.
-func (e *Engine) admit(parent context.Context, class overload.Class) (ctx context.Context, done func(), err error) {
+// the default deadline. now is the operation's start, read once by the
+// caller and shared with its span; a fast-path grant is stamped with it.
+func (e *Engine) admit(parent context.Context, class overload.Class, now time.Time) (context.Context, admission, error) {
 	if e.closed.Load() {
-		return nil, nil, ErrClosed
+		return nil, admission{}, ErrClosed
 	}
 	if parent == nil {
 		parent = context.Background()
 	}
-	ctx = parent
-	cancel := func() {}
+	ctx := parent
+	var cancel context.CancelFunc
 	if e.cfg.DefaultTimeout > 0 {
 		if _, has := parent.Deadline(); !has {
 			ctx, cancel = context.WithTimeout(parent, e.cfg.DefaultTimeout)
 		}
 	}
-	tk, aerr := e.lim.Acquire(ctx, class)
+	tk, aerr := e.lim.Acquire(ctx, class, now)
 	if aerr != nil {
-		cancel()
+		if cancel != nil {
+			cancel()
+		}
 		if errors.Is(aerr, overload.ErrShed) {
 			// Past this class's queue bound: shed rather than waiting —
 			// bounded queues keep shed requests cheap and waiting requests'
 			// latency bounded.
 			e.stats.Shed.Inc()
-			return nil, nil, ErrOverload
+			return nil, admission{}, ErrOverload
 		}
 		e.noteAbort(aerr)
 		// Wrap rather than fold into ErrOverload: the caller's clock
 		// ran out while queued, which is a deadline/cancel outcome, and
 		// front-ends that translate errors into status codes (the wire
 		// server) must report it as such, not as load shedding.
-		return nil, nil, fmt.Errorf("engine: admission wait aborted: %w", aerr)
+		return nil, admission{}, fmt.Errorf("engine: admission wait aborted: %w", aerr)
 	}
 	if queued, wait := tk.Queued(); queued {
-		e.stats.WaitMicros.Observe(float64(wait.Microseconds()))
+		e.stats.WaitMicros.Observe(wait.Microseconds())
 	}
 	e.stats.Admitted.Inc()
-	opStart := time.Now()
-	done = func() {
-		// Release feeds the op's in-store latency to the gradient
-		// controller — the signal the adaptive limit steers by.
-		e.lim.Release(tk, true)
-		e.stats.OpMicros.Observe(float64(time.Since(opStart).Microseconds()))
-		cancel()
+	return ctx, admission{ticket: tk, cancel: cancel}, nil
+}
+
+// finish ends an admitted operation on one clock reading, shared by the
+// ticket release (whose in-store latency is the sample the adaptive
+// limit steers by), OpMicros and the span.
+func (e *Engine) finish(sp *obs.Span, a admission, err error) {
+	now := time.Now()
+	e.lim.Release(a.ticket, now, true)
+	e.stats.OpMicros.Observe(now.Sub(a.ticket.Granted()).Microseconds())
+	if a.cancel != nil {
+		a.cancel()
 	}
-	return ctx, done, nil
+	if err != nil {
+		e.noteAbort(err)
+	}
+	endSpan(sp, err, now)
 }
 
 // admitWrite admits a gated write. An ordinary write carries the class
@@ -307,17 +326,17 @@ func (e *Engine) admit(parent context.Context, class overload.Class) (ctx contex
 // fails (the engine closed underneath it), the half-open slot is
 // returned to the open state and the probe re-armed, so the breaker
 // cannot leak its single probe token.
-func (e *Engine) admitWrite(parent context.Context, probe bool) (context.Context, func(), error) {
+func (e *Engine) admitWrite(parent context.Context, probe bool, now time.Time) (context.Context, admission, error) {
 	class := overload.ClassFrom(parent, overload.ClassNormal)
 	if probe {
 		class = overload.ClassProbe
 	}
-	ctx, done, err := e.admit(parent, class)
+	ctx, adm, err := e.admit(parent, class, now)
 	if err != nil && probe {
 		e.stats.Breaker.Degrade("probe aborted in admission")
 		e.rearmProbe()
 	}
-	return ctx, done, err
+	return ctx, adm, err
 }
 
 // noteAbort meters a context-terminated operation.
@@ -429,99 +448,90 @@ func (e *Engine) noteWrite(err error, probe bool) {
 	}
 }
 
-// endSpan finishes a front-end span: rejections that never reached the
-// store (overload shedding, read-only writes, the open circuit) are shed
-// outcomes; everything else classifies by error.
-func endSpan(sp *obs.Span, err error) {
-	if errors.Is(err, ErrOverload) || errors.Is(err, ErrReadOnly) || errors.Is(err, ErrCircuitOpen) {
-		sp.EndOutcome(obs.OutcomeShed)
-		return
+// endSpan finishes a front-end span at now: rejections that never
+// reached the store (overload shedding, read-only writes, the open
+// circuit) are shed outcomes; everything else classifies by error.
+func endSpan(sp *obs.Span, err error, now time.Time) {
+	o := obs.OutcomeOf(err)
+	if err != nil && (errors.Is(err, ErrOverload) || errors.Is(err, ErrReadOnly) || errors.Is(err, ErrCircuitOpen)) {
+		o = obs.OutcomeShed
 	}
-	sp.End(err)
+	sp.EndOutcomeAt(o, now)
+}
+
+// reject ends the span of an operation refused before it reached the
+// store and returns err. It reads the clock only when the span records.
+func reject(sp *obs.Span, err error) error {
+	if sp.Enabled() {
+		endSpan(sp, err, time.Now())
+	}
+	return err
 }
 
 // Get returns the value for key.
 func (e *Engine) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	sp := e.cfg.Obs.Start(obs.OpGet)
-	ctx, done, err := e.admit(ctx, overload.ClassFrom(ctx, overload.ClassNormal))
+	t0 := time.Now()
+	sp := e.cfg.Obs.StartAt(obs.OpGet, t0)
+	ctx, adm, err := e.admit(ctx, overload.ClassFrom(ctx, overload.ClassNormal), t0)
 	if err != nil {
-		endSpan(&sp, err)
-		return nil, false, err
+		return nil, false, reject(&sp, err)
 	}
-	defer done()
 	v, ok, err := e.cfg.Store.Get(ctx, key)
-	if err != nil {
-		e.noteAbort(err)
-	}
-	endSpan(&sp, err)
+	e.finish(&sp, adm, err)
 	return v, ok, err
 }
 
 // Put upserts key -> val.
 func (e *Engine) Put(ctx context.Context, key, val []byte) error {
-	sp := e.cfg.Obs.Start(obs.OpPut)
+	t0 := time.Now()
+	sp := e.cfg.Obs.StartAt(obs.OpPut, t0)
 	probe, err := e.gateWrite()
 	if err != nil {
 		// Gating runs before admission: a rejected write fails fast
 		// without consuming queue room from requests that can be served.
-		endSpan(&sp, err)
-		return err
+		return reject(&sp, err)
 	}
-	ctx, done, err := e.admitWrite(ctx, probe)
+	ctx, adm, err := e.admitWrite(ctx, probe, t0)
 	if err != nil {
-		endSpan(&sp, err)
-		return err
+		return reject(&sp, err)
 	}
-	defer done()
 	err = e.cfg.Store.Put(ctx, key, val)
 	e.noteWrite(err, probe)
-	if err != nil {
-		e.noteAbort(err)
-	}
-	endSpan(&sp, err)
+	e.finish(&sp, adm, err)
 	return err
 }
 
 // Delete removes key.
 func (e *Engine) Delete(ctx context.Context, key []byte) error {
-	sp := e.cfg.Obs.Start(obs.OpDelete)
+	t0 := time.Now()
+	sp := e.cfg.Obs.StartAt(obs.OpDelete, t0)
 	probe, err := e.gateWrite()
 	if err != nil {
-		endSpan(&sp, err)
-		return err
+		return reject(&sp, err)
 	}
-	ctx, done, err := e.admitWrite(ctx, probe)
+	ctx, adm, err := e.admitWrite(ctx, probe, t0)
 	if err != nil {
-		endSpan(&sp, err)
-		return err
+		return reject(&sp, err)
 	}
-	defer done()
 	err = e.cfg.Store.Delete(ctx, key)
 	e.noteWrite(err, probe)
-	if err != nil {
-		e.noteAbort(err)
-	}
-	endSpan(&sp, err)
+	e.finish(&sp, adm, err)
 	return err
 }
 
 // Scan visits live pairs with key >= start in order until fn returns false
 // or limit pairs are visited (limit <= 0 means unlimited).
 func (e *Engine) Scan(ctx context.Context, start []byte, limit int, fn func(k, v []byte) bool) error {
-	sp := e.cfg.Obs.Start(obs.OpScan)
+	t0 := time.Now()
+	sp := e.cfg.Obs.StartAt(obs.OpScan, t0)
 	// Scans default to the first-shed class: a brownout drops batch reads
 	// before it drops anyone's writes.
-	ctx, done, err := e.admit(ctx, overload.ClassFrom(ctx, overload.ClassScan))
+	ctx, adm, err := e.admit(ctx, overload.ClassFrom(ctx, overload.ClassScan), t0)
 	if err != nil {
-		endSpan(&sp, err)
-		return err
+		return reject(&sp, err)
 	}
-	defer done()
 	err = e.cfg.Store.Scan(ctx, start, limit, fn)
-	if err != nil {
-		e.noteAbort(err)
-	}
-	endSpan(&sp, err)
+	e.finish(&sp, adm, err)
 	return err
 }
 

@@ -52,9 +52,9 @@ func (d *mtDC) dump() map[string][]byte {
 type failoverMode int
 
 const (
-	modeForcedPromotion failoverMode = iota // operator-initiated switch
-	modePrimaryCrash                        // primary log device dies mid-ship
-	modePartitionedSwitch                   // promotion forced during a partition
+	modeForcedPromotion   failoverMode = iota // operator-initiated switch
+	modePrimaryCrash                          // primary log device dies mid-ship
+	modePartitionedSwitch                     // promotion forced during a partition
 	failoverModes
 )
 

@@ -39,19 +39,65 @@ func TestEnabledSpanPathAllocFree(t *testing.T) {
 	}
 }
 
-func newEngineForBench(b *testing.B, tr *obs.Tracer) *engine.Engine {
-	b.Helper()
+// newEngineForBench builds an engine over a loaded masstree and returns
+// it with the bare store it wraps.
+func newEngineForBench(tb testing.TB, tr *obs.Tracer) (*engine.Engine, engine.Store) {
+	tb.Helper()
 	mt := masstree.New(nil)
 	mt.SetObs(tr)
 	for i := 0; i < 1024; i++ {
 		k := []byte(fmt.Sprintf("key-%06d", i))
 		mt.Put(k, []byte("value-payload-0123456789"))
 	}
-	e, err := engine.New(engine.Config{Store: engine.WrapMassTree(mt), Obs: tr})
+	store := engine.WrapMassTree(mt)
+	e, err := engine.New(engine.Config{Store: store, Obs: tr})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return e
+	return e, store
+}
+
+// TestEngineAddsNoAllocs pins the engine's fast path at zero allocations
+// of its own: with tracing off and on, an engine Get, Put and Scan
+// allocate exactly what the same call on the bare store does.
+func TestEngineAddsNoAllocs(t *testing.T) {
+	ctx := context.Background()
+	key := []byte("key-000512")
+	val := []byte("value-payload-9876543210")
+	rows := 0
+	visit := func(k, v []byte) bool { rows++; return true }
+	for _, mode := range []struct {
+		name string
+		tr   *obs.Tracer
+	}{
+		{"obs-off", nil},
+		{"obs-on", obs.NewTracer("allocs")},
+	} {
+		e, store := newEngineForBench(t, mode.tr)
+		for _, op := range []struct {
+			name        string
+			engine, raw func()
+		}{
+			{"get",
+				func() { e.Get(ctx, key) },
+				func() { store.Get(ctx, key) }},
+			{"put",
+				func() { e.Put(ctx, key, val) },
+				func() { store.Put(ctx, key, val) }},
+			{"scan",
+				func() { e.Scan(ctx, key, 10, visit) },
+				func() { store.Scan(ctx, key, 10, visit) }},
+		} {
+			got := testing.AllocsPerRun(1000, op.engine)
+			want := testing.AllocsPerRun(1000, op.raw)
+			if got != want {
+				t.Errorf("%s %s: engine allocates %v per op, bare store %v", mode.name, op.name, got, want)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("scans visited no rows")
+	}
 }
 
 // BenchmarkEngineGet measures the front-end read path with tracing off
@@ -68,7 +114,7 @@ func BenchmarkEngineGet(b *testing.B) {
 		{"obs-on", obs.NewTracer("bench")},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			e := newEngineForBench(b, mode.tr)
+			e, _ := newEngineForBench(b, mode.tr)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, ok, err := e.Get(ctx, key); err != nil || !ok {

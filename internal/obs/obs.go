@@ -150,7 +150,17 @@ func (t *Tracer) Start(op Op) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{tr: t, op: op, t0: time.Now()}
+	return t.StartAt(op, time.Now())
+}
+
+// StartAt begins a span for op at the caller's clock reading t0, so a
+// caller that needs the time anyway (the engine's admission) reads the
+// clock once for both. On a nil tracer it returns the zero Span.
+func (t *Tracer) StartAt(op Op, t0 time.Time) Span {
+	if t == nil {
+		return Span{}
+	}
+	return Span{tr: t, op: op, t0: t0}
 }
 
 // Enabled reports whether the span is actually recording.
@@ -170,31 +180,42 @@ func (s *Span) Bytes(read, written int) {
 // Retries records device-level retry attempts absorbed by this operation.
 func (s *Span) Retries(n int) { s.retries += int64(n) }
 
-// End finishes the span, classifying the outcome from err: nil is OK,
-// context deadline/cancel map to timeout/canceled, anything else is an
-// error. Safe on the zero Span.
-func (s *Span) End(err error) {
+// OutcomeOf classifies an operation's error: nil is OK, context
+// deadline/cancel map to timeout/canceled, anything else is an error.
+func OutcomeOf(err error) Outcome {
 	switch {
 	case err == nil:
-		s.EndOutcome(OutcomeOK)
+		return OutcomeOK
 	case errors.Is(err, context.DeadlineExceeded):
-		s.EndOutcome(OutcomeTimeout)
+		return OutcomeTimeout
 	case errors.Is(err, context.Canceled):
-		s.EndOutcome(OutcomeCanceled)
+		return OutcomeCanceled
 	default:
-		s.EndOutcome(OutcomeError)
+		return OutcomeError
 	}
 }
 
+// End finishes the span with the outcome OutcomeOf(err). Safe on the zero
+// Span.
+func (s *Span) End(err error) { s.EndOutcome(OutcomeOf(err)) }
+
 // EndOutcome finishes the span with an explicit outcome (the engine uses
-// this to tag shed and circuit-rejected operations).
+// this to tag shed and circuit-rejected operations). On the zero Span it
+// does not read the clock.
 func (s *Span) EndOutcome(o Outcome) {
+	if s.tr == nil {
+		return
+	}
+	s.EndOutcomeAt(o, time.Now())
+}
+
+// EndOutcomeAt is EndOutcome at the caller's clock reading now.
+func (s *Span) EndOutcomeAt(o Outcome, now time.Time) {
 	t := s.tr
 	if t == nil {
 		return
 	}
 	s.tr = nil // guard against double End
-	now := time.Now()
 	lat := now.Sub(s.t0).Nanoseconds()
 
 	m := &t.ops[s.op]

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"costperf/internal/metrics"
@@ -132,7 +133,11 @@ type Ticket struct {
 
 // Queued reports whether the ticket waited in the queue, and for how
 // long.
-func (t *Ticket) Queued() (bool, time.Duration) { return t.queued, t.wait }
+func (t Ticket) Queued() (bool, time.Duration) { return t.queued, t.wait }
+
+// Granted is when the ticket took its slot: the Acquire's now on the
+// fast path, the releasing caller's now after a queued wait.
+func (t Ticket) Granted() time.Time { return t.granted }
 
 // waiter is one queued Acquire.
 type waiter struct {
@@ -143,21 +148,36 @@ type waiter struct {
 
 // Limiter is the adaptive concurrency limiter. All methods are safe for
 // concurrent use.
+//
+// The admission fast path takes no lock: while nobody is queued, Acquire
+// claims a slot with a compare-and-swap on inflight below the published
+// effective limit, and Release gives it back with an atomic add. l.mu is
+// taken only to queue, to shed, to grant queued waiters, and to close an
+// adaptive window. A waiter re-tries the grant right after it enqueues,
+// and a releaser checks queued right after it frees its slot, so one of
+// the two always sees the other: no release can strand a waiter.
 type Limiter struct {
 	cfg   Config
 	stats metrics.LimiterStats
 
-	mu       sync.Mutex
-	limit    float64 // live limit (clamped [Min, Max])
-	inflight int
-	queued   int
-	qs       [numClasses][]*waiter
+	inflight atomic.Int64 // slots held
+	queued   atomic.Int64 // waiters in qs; changes only under mu
+	eff      atomic.Int64 // effLimitLocked, republished under mu
 
-	// Gradient state (under mu): the current window's accumulation, the
-	// latency floor, and the vegas probe cycle.
-	winSum     float64 // ns
-	winN       int
-	winStart   time.Time
+	// Window accumulation, lock-free: a sample adds its latency and
+	// count, and the sample that fills the window closes it under mu. A
+	// sample racing the close may land its latency and its count in
+	// adjacent windows.
+	winSum   atomic.Int64 // ns
+	winN     atomic.Int64
+	winStart atomic.Int64 // unix ns of the window's first sample
+
+	mu    sync.Mutex
+	limit float64 // live limit (clamped [Min, Max])
+	qs    [numClasses][]*waiter
+
+	// Gradient state (under mu): the latency floor and the vegas probe
+	// cycle.
 	floor      float64 // ns; 0 = unlearned
 	lastSample float64 // ns; last window mean
 	windows    int     // completed windows, drives the probe cadence
@@ -168,6 +188,7 @@ type Limiter struct {
 func NewLimiter(cfg Config) *Limiter {
 	cfg.setDefaults()
 	l := &Limiter{cfg: cfg, limit: float64(cfg.Initial)}
+	l.eff.Store(int64(cfg.Initial))
 	l.stats.Limit.Set(int64(cfg.Initial))
 	return l
 }
@@ -180,11 +201,7 @@ func (l *Limiter) Stats() *metrics.LimiterStats { return &l.stats }
 func (l *Limiter) Adaptive() bool { return !l.cfg.Static }
 
 // Limit returns the live concurrency limit.
-func (l *Limiter) Limit() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.effLimitLocked()
-}
+func (l *Limiter) Limit() int { return int(l.eff.Load()) }
 
 // effLimitLocked is the limit admission actually enforces right now: the
 // gradient's limit, except during a vegas probe window, which serves at
@@ -204,14 +221,14 @@ func (l *Limiter) effLimitLocked() int {
 // occupy. Scans shed once the queue is a quarter full, low-priority ops
 // at half, and only ClassHigh may fill it — so as pressure rises the
 // classes shed strictly lowest-first.
-func (l *Limiter) queueBound(c Class) int {
+func (l *Limiter) queueBound(c Class) int64 {
 	switch c {
 	case ClassScan:
-		return l.cfg.MaxQueue / 4
+		return int64(l.cfg.MaxQueue / 4)
 	case ClassLow:
-		return l.cfg.MaxQueue / 2
+		return int64(l.cfg.MaxQueue / 2)
 	default:
-		return l.cfg.MaxQueue
+		return int64(l.cfg.MaxQueue)
 	}
 }
 
@@ -236,43 +253,59 @@ func (l *Limiter) WouldShed(c Class) bool {
 	if c == ClassProbe {
 		return false
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inflight >= l.effLimitLocked() && l.queued >= l.queueBound(c)
+	return l.inflight.Load() >= l.eff.Load() && l.queued.Load() >= l.queueBound(c)
+}
+
+// tryAdmit claims a slot if one is free: inflight below the effective
+// limit. With mayJumpQueue false it also refuses while anyone is queued,
+// so a fast-path arrival cannot overtake a waiter.
+func (l *Limiter) tryAdmit(mayJumpQueue bool) bool {
+	for {
+		if !mayJumpQueue && l.queued.Load() != 0 {
+			return false
+		}
+		n := l.inflight.Load()
+		if n >= l.eff.Load() {
+			return false
+		}
+		if l.inflight.CompareAndSwap(n, n+1) {
+			l.grantStats()
+			return true
+		}
+	}
 }
 
 // Acquire admits one operation at the given class: immediately while
 // the limit has room, after queueing when it does not, never for a
-// request past its class's queue bound (ErrShed). A ctx that ends while
-// queued returns ctx.Err(). ClassProbe bypasses both the limit and the
-// queue. The returned ticket must be Released exactly once.
-func (l *Limiter) Acquire(ctx context.Context, c Class) (*Ticket, error) {
-	now := time.Now()
-	l.mu.Lock()
+// request past its class's queue bound (ErrShed). now is the caller's
+// clock reading; a fast-path grant is stamped with it, so Acquire itself
+// reads no clock. A ctx that ends while queued returns ctx.Err().
+// ClassProbe bypasses both the limit and the queue. The returned ticket
+// must be Released exactly once.
+func (l *Limiter) Acquire(ctx context.Context, c Class, now time.Time) (Ticket, error) {
 	if c == ClassProbe {
 		// Probes are how a degraded store proves recovery; they can not
 		// be starved by load. Bypass the limit (the breaker allows one
 		// probe at a time, so the overshoot is bounded at 1).
-		l.inflight++
-		l.grantStatsLocked()
-		l.mu.Unlock()
-		return &Ticket{class: c, granted: now}, nil
+		l.inflight.Add(1)
+		l.grantStats()
+		return Ticket{class: c, granted: now}, nil
 	}
-	if l.inflight < l.effLimitLocked() && l.queued == 0 {
-		l.inflight++
-		l.grantStatsLocked()
-		l.mu.Unlock()
-		return &Ticket{class: c, granted: now}, nil
+	if l.tryAdmit(false) {
+		return Ticket{class: c, granted: now}, nil
 	}
-	if l.queued >= l.queueBound(c) {
+	l.mu.Lock()
+	if l.queued.Load() >= l.queueBound(c) {
 		l.shedLocked(c)
 		l.mu.Unlock()
-		return nil, ErrShed
+		return Ticket{}, ErrShed
 	}
 	w := &waiter{ch: make(chan struct{})}
 	l.qs[c] = append(l.qs[c], w)
-	l.queued++
-	l.depthStatsLocked()
+	l.queued.Add(1)
+	// A release that freed its slot before queued rose saw no waiter and
+	// took no lock: grant what is free now, or that slot strands us.
+	l.grantLocked(now)
 	l.mu.Unlock()
 
 	if ctx == nil {
@@ -280,7 +313,7 @@ func (l *Limiter) Acquire(ctx context.Context, c Class) (*Ticket, error) {
 	}
 	select {
 	case <-w.ch:
-		return &Ticket{class: c, queued: true, wait: w.granted.Sub(now), granted: w.granted}, nil
+		return Ticket{class: c, queued: true, wait: w.granted.Sub(now), granted: w.granted}, nil
 	case <-ctx.Done():
 		l.mu.Lock()
 		if w.done {
@@ -288,7 +321,7 @@ func (l *Limiter) Acquire(ctx context.Context, c Class) (*Ticket, error) {
 			// with it — the store call will see the dead ctx immediately,
 			// and the release path stays uniform.
 			l.mu.Unlock()
-			return &Ticket{class: c, queued: true, wait: w.granted.Sub(now), granted: w.granted}, nil
+			return Ticket{class: c, queued: true, wait: w.granted.Sub(now), granted: w.granted}, nil
 		}
 		w.done = true
 		for i, qw := range l.qs[c] {
@@ -297,62 +330,62 @@ func (l *Limiter) Acquire(ctx context.Context, c Class) (*Ticket, error) {
 				break
 			}
 		}
-		l.queued--
+		l.queued.Add(-1)
 		l.depthStatsLocked()
 		l.mu.Unlock()
-		return nil, ctx.Err()
+		return Ticket{}, ctx.Err()
 	}
 }
 
-// Release returns a ticket's slot, feeds the gradient controller (when
-// sample is true and the limiter is adaptive), and grants queued
-// waiters the freed capacity.
-func (l *Limiter) Release(t *Ticket, sample bool) {
-	lat := time.Since(t.granted)
-	l.mu.Lock()
-	l.inflight--
-	l.stats.Inflight.Set(int64(l.inflight))
-	if sample && !l.cfg.Static && t.class != ClassProbe {
-		l.observeLocked(float64(lat.Nanoseconds()))
+// Release returns a ticket's slot at the caller's clock reading now,
+// feeds the gradient controller the ticket's latency (when sample is
+// true and the limiter is adaptive), and grants queued waiters the freed
+// capacity. It takes l.mu only when a waiter is queued or the sample
+// closes a window.
+func (l *Limiter) Release(t Ticket, now time.Time, sample bool) {
+	l.inflight.Add(-1)
+	l.stats.Inflight.Add(-1)
+	closes := sample && !l.cfg.Static && t.class != ClassProbe &&
+		l.observe(now.Sub(t.granted).Nanoseconds(), now)
+	if !closes && l.queued.Load() == 0 {
+		return
 	}
-	l.grantLocked()
+	l.mu.Lock()
+	if closes {
+		l.closeWindowLocked(now)
+	}
+	l.grantLocked(now)
 	l.mu.Unlock()
 }
 
-// grantLocked hands freed capacity to queued waiters, highest class
-// first, FIFO within a class.
-func (l *Limiter) grantLocked() {
-	for l.queued > 0 && l.inflight < l.effLimitLocked() {
-		granted := false
-		for c := numClasses - 1; c >= 0; c-- {
-			if len(l.qs[c]) == 0 {
-				continue
-			}
-			w := l.qs[c][0]
-			l.qs[c] = l.qs[c][1:]
-			l.queued--
-			w.done = true
-			w.granted = time.Now()
-			l.inflight++
-			l.grantStatsLocked()
-			close(w.ch)
-			granted = true
+// grantLocked hands free capacity to queued waiters, highest class
+// first, FIFO within a class, stamping each grant with now.
+func (l *Limiter) grantLocked(now time.Time) {
+	for c := numClasses - 1; c >= 0 && l.queued.Load() > 0; {
+		if len(l.qs[c]) == 0 {
+			c--
+			continue
+		}
+		if !l.tryAdmit(true) {
 			break
 		}
-		if !granted {
-			break
-		}
+		w := l.qs[c][0]
+		l.qs[c] = l.qs[c][1:]
+		l.queued.Add(-1)
+		w.done = true
+		w.granted = now
+		close(w.ch)
 	}
 	l.depthStatsLocked()
 }
 
-func (l *Limiter) grantStatsLocked() {
+func (l *Limiter) grantStats() {
 	l.stats.Admitted.Inc()
-	l.stats.Inflight.Set(int64(l.inflight))
+	l.stats.Inflight.Add(1)
 }
 
 func (l *Limiter) depthStatsLocked() {
-	d := int64(l.queued)
+	d := l.queued.Load()
 	if l.cfg.DepthGauge != nil {
 		l.cfg.DepthGauge.Set(d)
 	}
@@ -361,26 +394,32 @@ func (l *Limiter) depthStatsLocked() {
 	}
 }
 
-// observeLocked accumulates one latency sample and runs a gradient
-// update when the window fills.
-func (l *Limiter) observeLocked(ns float64) {
-	if l.winN == 0 {
-		l.winStart = time.Now()
+// observe accumulates one latency sample and reports whether it filled
+// the window, in which case the caller must close it under l.mu.
+func (l *Limiter) observe(ns int64, now time.Time) bool {
+	l.winSum.Add(ns)
+	n := l.winN.Add(1)
+	if n == 1 {
+		l.winStart.Store(now.UnixNano())
 	}
-	l.winSum += ns
-	l.winN++
-	if l.winN < l.cfg.Window {
+	return n == int64(l.cfg.Window)
+}
+
+// closeWindowLocked runs a gradient update over the window that just
+// filled and starts the next one.
+func (l *Limiter) closeWindowLocked(now time.Time) {
+	start := l.winStart.Load()
+	n := l.winN.Swap(0)
+	sum := l.winSum.Swap(0)
+	if n <= 0 {
 		return
 	}
-	sample := l.winSum / float64(l.winN)
-	elapsed := time.Since(l.winStart).Seconds()
 	thr := 0.0
-	if elapsed > 0 {
-		thr = float64(l.winN) / elapsed
+	if elapsed := float64(now.UnixNano()-start) / 1e9; elapsed > 0 {
+		thr = float64(n) / elapsed
 	}
-	l.winSum, l.winN = 0, 0
 	l.windows++
-	l.updateLocked(sample, thr)
+	l.updateLocked(float64(sum)/float64(n), thr)
 }
 
 // updateLocked is one gradient step over a completed window.
@@ -449,7 +488,9 @@ func (l *Limiter) updateLocked(sample, thr float64) {
 	if l.cfg.ProbeInterval > 0 && l.windows%l.cfg.ProbeInterval == 0 {
 		l.probing = true
 	}
-	l.stats.Limit.Set(int64(l.effLimitLocked()))
+	eff := int64(l.effLimitLocked())
+	l.eff.Store(eff)
+	l.stats.Limit.Set(eff)
 }
 
 // RetryAfter is the advisory backoff for a shed caller: roughly how
@@ -463,9 +504,9 @@ func (l *Limiter) RetryAfter() time.Duration {
 	if per == 0 {
 		per = l.floor
 	}
-	backlog := l.inflight + l.queued
-	lim := l.effLimitLocked()
 	l.mu.Unlock()
+	backlog := l.inflight.Load() + l.queued.Load()
+	lim := l.eff.Load()
 	if per == 0 {
 		per = 1e6 // unlearned: assume 1ms service time
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -44,14 +46,14 @@ func TestClassContext(t *testing.T) {
 func TestAcquireFastPath(t *testing.T) {
 	l := NewLimiter(Config{Initial: 2, Static: true})
 	ctx := context.Background()
-	t1, err := l.Acquire(ctx, ClassNormal)
+	t1, err := l.Acquire(ctx, ClassNormal, time.Now())
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	if q, _ := t1.Queued(); q {
 		t.Fatal("fast-path acquire reported queued")
 	}
-	l.Release(t1, true)
+	l.Release(t1, time.Now(), true)
 	if got := l.Stats().Admitted.Value(); got != 1 {
 		t.Fatalf("Admitted = %d, want 1", got)
 	}
@@ -70,7 +72,7 @@ func TestBrownoutLadder(t *testing.T) {
 	ctx := context.Background()
 
 	// Saturate the limit.
-	hold, err := l.Acquire(ctx, ClassNormal)
+	hold, err := l.Acquire(ctx, ClassNormal, time.Now())
 	if err != nil {
 		t.Fatalf("hold: %v", err)
 	}
@@ -85,23 +87,20 @@ func TestBrownoutLadder(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				tk, err := l.Acquire(ctx, c)
+				tk, err := l.Acquire(ctx, c, time.Now())
 				if err == nil {
-					l.Release(tk, false)
+					l.Release(tk, time.Now(), false)
 				}
 				ch <- err
 			}()
 		}
 		return ch
 	}
-	waitQueued := func(want int) {
+	waitQueued := func(want int64) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			l.mu.Lock()
-			n := l.queued
-			l.mu.Unlock()
-			if n == want {
+			if n := l.queued.Load(); n == want {
 				return
 			}
 			if time.Now().After(deadline) {
@@ -114,29 +113,29 @@ func TestBrownoutLadder(t *testing.T) {
 	scans := park(2, ClassScan)
 	waitQueued(2)
 	// Scan bound (2) reached: the next scan sheds, lower classes do not.
-	if _, err := l.Acquire(ctx, ClassScan); !errors.Is(err, ErrShed) {
+	if _, err := l.Acquire(ctx, ClassScan, time.Now()); !errors.Is(err, ErrShed) {
 		t.Fatalf("scan past bound = %v, want ErrShed", err)
 	}
 	lows := park(2, ClassLow)
 	waitQueued(4)
 	// Low bound (4) reached: low sheds, normal still queues.
-	if _, err := l.Acquire(ctx, ClassLow); !errors.Is(err, ErrShed) {
+	if _, err := l.Acquire(ctx, ClassLow, time.Now()); !errors.Is(err, ErrShed) {
 		t.Fatalf("low past bound = %v, want ErrShed", err)
 	}
 	normals := park(4, ClassNormal)
 	waitQueued(8)
 	// Queue full: everything but probes sheds.
-	if _, err := l.Acquire(ctx, ClassNormal); !errors.Is(err, ErrShed) {
+	if _, err := l.Acquire(ctx, ClassNormal, time.Now()); !errors.Is(err, ErrShed) {
 		t.Fatalf("normal past bound = %v, want ErrShed", err)
 	}
-	if _, err := l.Acquire(ctx, ClassHigh); !errors.Is(err, ErrShed) {
+	if _, err := l.Acquire(ctx, ClassHigh, time.Now()); !errors.Is(err, ErrShed) {
 		t.Fatalf("high past full queue = %v, want ErrShed", err)
 	}
-	probe, err := l.Acquire(ctx, ClassProbe)
+	probe, err := l.Acquire(ctx, ClassProbe, time.Now())
 	if err != nil {
 		t.Fatalf("probe through a full queue = %v, want admission", err)
 	}
-	l.Release(probe, false)
+	l.Release(probe, time.Now(), false)
 
 	st := l.Stats()
 	if st.ShedScan.Value() != 1 || st.ShedLow.Value() != 1 ||
@@ -145,7 +144,7 @@ func TestBrownoutLadder(t *testing.T) {
 	}
 
 	// Drain: everyone queued eventually runs.
-	l.Release(hold, false)
+	l.Release(hold, time.Now(), false)
 	wg.Wait()
 	for _, ch := range []chan error{scans, lows, normals} {
 		for i := 0; i < cap(ch); i++ {
@@ -164,7 +163,7 @@ func TestBrownoutLadder(t *testing.T) {
 func TestPriorityDequeueOrder(t *testing.T) {
 	l := NewLimiter(Config{Initial: 1, MaxQueue: 8, Static: true})
 	ctx := context.Background()
-	hold, err := l.Acquire(ctx, ClassNormal)
+	hold, err := l.Acquire(ctx, ClassNormal, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +173,13 @@ func TestPriorityDequeueOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tk, err := l.Acquire(ctx, c)
+			tk, err := l.Acquire(ctx, c, time.Now())
 			if err != nil {
 				t.Errorf("acquire %v: %v", c, err)
 				return
 			}
 			order <- c
-			l.Release(tk, false)
+			l.Release(tk, time.Now(), false)
 		}()
 		// Ensure deterministic arrival order: scan first, then normal,
 		// then high.
@@ -201,7 +200,7 @@ func TestPriorityDequeueOrder(t *testing.T) {
 	enqueue(ClassScan)
 	enqueue(ClassNormal)
 	enqueue(ClassHigh)
-	l.Release(hold, false)
+	l.Release(hold, time.Now(), false)
 	wg.Wait()
 	close(order)
 	var got []Class
@@ -220,28 +219,25 @@ func TestPriorityDequeueOrder(t *testing.T) {
 // queued surfaces its own error and leaves the queue clean.
 func TestQueuedAbort(t *testing.T) {
 	l := NewLimiter(Config{Initial: 1, MaxQueue: 4, Static: true})
-	hold, err := l.Acquire(context.Background(), ClassNormal)
+	hold, err := l.Acquire(context.Background(), ClassNormal, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := l.Acquire(ctx, ClassNormal); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := l.Acquire(ctx, ClassNormal, time.Now()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued abort = %v, want DeadlineExceeded", err)
 	}
-	l.mu.Lock()
-	depth := l.queued
-	l.mu.Unlock()
-	if depth != 0 {
+	if depth := l.queued.Load(); depth != 0 {
 		t.Fatalf("queue depth after abort = %d, want 0", depth)
 	}
-	l.Release(hold, false)
+	l.Release(hold, time.Now(), false)
 	// The limiter still works after the abandoned waiter.
-	tk, err := l.Acquire(context.Background(), ClassNormal)
+	tk, err := l.Acquire(context.Background(), ClassNormal, time.Now())
 	if err != nil {
 		t.Fatalf("acquire after abort: %v", err)
 	}
-	l.Release(tk, false)
+	l.Release(tk, time.Now(), false)
 }
 
 // drive feeds the controller synthetic windows directly: a white-box
@@ -328,11 +324,11 @@ func TestStaticModeDoesNotAdapt(t *testing.T) {
 	l := NewLimiter(Config{Initial: 8, Static: true})
 	ctx := context.Background()
 	for i := 0; i < 200; i++ {
-		tk, err := l.Acquire(ctx, ClassNormal)
+		tk, err := l.Acquire(ctx, ClassNormal, time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.Release(tk, true)
+		l.Release(tk, time.Now(), true)
 	}
 	if got := l.Limit(); got != 8 {
 		t.Fatalf("static limit = %d, want 8", got)
@@ -348,16 +344,16 @@ func TestWouldShed(t *testing.T) {
 	if l.WouldShed(ClassScan) {
 		t.Fatal("idle limiter would shed")
 	}
-	hold, _ := l.Acquire(ctx, ClassNormal)
+	hold, _ := l.Acquire(ctx, ClassNormal, time.Now())
 	// Limit saturated, queue empty: scan bound is 4/4 = 1 > 0, so a scan
 	// would still queue; but once one waiter parks, scans shed.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tk, err := l.Acquire(ctx, ClassNormal)
+		tk, err := l.Acquire(ctx, ClassNormal, time.Now())
 		if err == nil {
-			l.Release(tk, false)
+			l.Release(tk, time.Now(), false)
 		}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -373,7 +369,7 @@ func TestWouldShed(t *testing.T) {
 	if l.WouldShed(ClassHigh) {
 		t.Fatal("high would shed with a near-empty queue")
 	}
-	l.Release(hold, false)
+	l.Release(hold, time.Now(), false)
 	wg.Wait()
 }
 
@@ -385,15 +381,11 @@ func TestRetryAfterBounds(t *testing.T) {
 	}
 	// A huge backlog clamps at the cap.
 	drive(l, 1, 50e6, 10)
-	l.mu.Lock()
-	l.inflight = 1000
-	l.mu.Unlock()
+	l.inflight.Store(1000)
 	if d := l.RetryAfter(); d != 100*time.Millisecond {
 		t.Fatalf("RetryAfter under backlog = %v, want 100ms cap", d)
 	}
-	l.mu.Lock()
-	l.inflight = 0
-	l.mu.Unlock()
+	l.inflight.Store(0)
 	if l.Stats().RetryAfterMicros.Value() == 0 {
 		t.Fatal("RetryAfterMicros gauge never set")
 	}
@@ -419,7 +411,7 @@ func TestLimiterConcurrentHammer(t *testing.T) {
 					ctx, cancel = context.WithTimeout(ctx, time.Microsecond)
 					defer cancel()
 				}
-				tk, err := l.Acquire(ctx, c)
+				tk, err := l.Acquire(ctx, c, time.Now())
 				if err != nil {
 					if !errors.Is(err, ErrShed) && !errors.Is(err, context.DeadlineExceeded) {
 						t.Errorf("acquire: %v", err)
@@ -430,7 +422,7 @@ func TestLimiterConcurrentHammer(t *testing.T) {
 					continue
 				}
 				granted.inc()
-				l.Release(tk, true)
+				l.Release(tk, time.Now(), true)
 			}
 		}(w)
 	}
@@ -445,8 +437,8 @@ func TestLimiterConcurrentHammer(t *testing.T) {
 	if st.Inflight.Value() != 0 {
 		t.Fatalf("Inflight after drain = %d", st.Inflight.Value())
 	}
+	depth := l.queued.Load()
 	l.mu.Lock()
-	depth := l.queued
 	lim := l.limit
 	l.mu.Unlock()
 	if depth != 0 {
@@ -482,4 +474,148 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("Min above Initial = %d, want clamped to Initial", c2.Min)
 	}
 	_ = fmt.Sprintf("%v", ClassProbe) // String coverage for probe
+}
+
+// underWatchdog runs body and fails the test with every goroutine's
+// stack if it has not returned within d: a lost wakeup shows up as a
+// stuck waiter, not as a hung test binary.
+func underWatchdog(t *testing.T, d time.Duration, body func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		body()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("watchdog: not done after %v\n%s", d, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestStaticLimitNeverExceeded hammers a static limit of 2 from 8
+// goroutines through the CAS fast path and the queue: at no point may
+// more than 2 tickets be held.
+func TestStaticLimitNeverExceeded(t *testing.T) {
+	const workers, rounds, limit = 8, 10000, 2
+	l := NewLimiter(Config{Initial: limit, MaxQueue: workers, Static: true})
+	var cur, peak atomic.Int64
+	underWatchdog(t, time.Minute, func() {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx := context.Background()
+				for i := 0; i < rounds; i++ {
+					tk, err := l.Acquire(ctx, ClassNormal, time.Now())
+					if err != nil {
+						t.Errorf("acquire: %v", err)
+						return
+					}
+					n := cur.Add(1)
+					for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+					}
+					cur.Add(-1)
+					l.Release(tk, time.Now(), false)
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	if p := peak.Load(); p > limit {
+		t.Fatalf("peak concurrency %d exceeds the limit %d", p, limit)
+	}
+	if got := l.Stats().Admitted.Value(); got != workers*rounds {
+		t.Fatalf("Admitted = %d, want %d", got, workers*rounds)
+	}
+	if in, q := l.Stats().Inflight.Value(), l.queued.Load(); in != 0 || q != 0 {
+		t.Fatalf("after drain: inflight %d, queued %d", in, q)
+	}
+}
+
+// TestReleaseRacingEnqueue is the lost-wakeup check: with a limit of 1,
+// the holder releases while a second goroutine enqueues behind it. The
+// releaser may see no waiter and take no lock, so the waiter must find
+// the freed slot itself; every waiter must be granted.
+func TestReleaseRacingEnqueue(t *testing.T) {
+	l := NewLimiter(Config{Initial: 1, Static: true})
+	ctx := context.Background()
+	underWatchdog(t, time.Minute, func() {
+		for i := 0; i < 10000; i++ {
+			hold, err := l.Acquire(ctx, ClassNormal, time.Now())
+			if err != nil {
+				t.Errorf("round %d: hold: %v", i, err)
+				return
+			}
+			ready := make(chan struct{})
+			granted := make(chan Ticket, 1)
+			go func() {
+				close(ready)
+				tk, err := l.Acquire(ctx, ClassNormal, time.Now())
+				if err != nil {
+					t.Errorf("round %d: waiter: %v", i, err)
+				}
+				granted <- tk
+			}()
+			<-ready
+			l.Release(hold, time.Now(), false)
+			l.Release(<-granted, time.Now(), false)
+		}
+	})
+	if in, q := l.Stats().Inflight.Value(), l.queued.Load(); in != 0 || q != 0 {
+		t.Fatalf("after drain: inflight %d, queued %d", in, q)
+	}
+}
+
+// TestCancelRacingGrant races a queued waiter's context cancel against
+// the release that grants it. Either side may win — the waiter then
+// holds a ticket it must release, or leaves the queue — but the limiter
+// must end with nothing in flight and nothing queued.
+func TestCancelRacingGrant(t *testing.T) {
+	l := NewLimiter(Config{Initial: 1, Static: true})
+	var won, lost int
+	underWatchdog(t, time.Minute, func() {
+		for i := 0; i < 1000; i++ {
+			hold, err := l.Acquire(context.Background(), ClassNormal, time.Now())
+			if err != nil {
+				t.Errorf("round %d: hold: %v", i, err)
+				return
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			res := make(chan error, 1)
+			go func() {
+				tk, err := l.Acquire(ctx, ClassNormal, time.Now())
+				if err == nil {
+					l.Release(tk, time.Now(), false)
+				}
+				res <- err
+			}()
+			for l.queued.Load() != 1 {
+				runtime.Gosched()
+			}
+			// Both orders: a cancel that wakes the waiter just before the
+			// release grants it, and a grant just before the cancel.
+			if i%2 == 0 {
+				cancel()
+				l.Release(hold, time.Now(), false)
+			} else {
+				l.Release(hold, time.Now(), false)
+				cancel()
+			}
+			switch err := <-res; {
+			case err == nil:
+				won++
+			case errors.Is(err, context.Canceled):
+				lost++
+			default:
+				t.Errorf("round %d: waiter: %v", i, err)
+				return
+			}
+		}
+	})
+	if in, q := l.Stats().Inflight.Value(), l.queued.Load(); in != 0 || q != 0 {
+		t.Fatalf("after %d grants and %d cancels: inflight %d, queued %d", won, lost, in, q)
+	}
 }

@@ -18,9 +18,9 @@ func saturateScanBound(t *testing.T, eng *engine.Engine) (release func()) {
 	t.Helper()
 	lim := eng.Limiter()
 	ctx, cancel := context.WithCancel(context.Background())
-	var held []*overload.Ticket
+	var held []overload.Ticket
 	for lim.Stats().Inflight.Value() < int64(lim.Limit()) {
-		tk, err := lim.Acquire(ctx, overload.ClassNormal)
+		tk, err := lim.Acquire(ctx, overload.ClassNormal, time.Now())
 		if err != nil {
 			t.Fatalf("saturating acquire: %v", err)
 		}
@@ -29,8 +29,8 @@ func saturateScanBound(t *testing.T, eng *engine.Engine) (release func()) {
 	parked := make(chan struct{})
 	go func() {
 		defer close(parked)
-		if tk, err := lim.Acquire(ctx, overload.ClassNormal); err == nil {
-			lim.Release(tk, false)
+		if tk, err := lim.Acquire(ctx, overload.ClassNormal, time.Now()); err == nil {
+			lim.Release(tk, time.Now(), false)
 		}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -43,7 +43,7 @@ func saturateScanBound(t *testing.T, eng *engine.Engine) (release func()) {
 	return func() {
 		cancel()
 		for _, tk := range held {
-			lim.Release(tk, false)
+			lim.Release(tk, time.Now(), false)
 		}
 		<-parked
 	}
@@ -144,9 +144,9 @@ func TestRouterRetryAfterHint(t *testing.T) {
 	// Load shard 0's limiter; the fleet hint must track it.
 	lim := r.Engine(0).Limiter()
 	ctx := context.Background()
-	var held []*overload.Ticket
+	var held []overload.Ticket
 	for i := 0; i < 2; i++ {
-		tk, err := lim.Acquire(ctx, overload.ClassNormal)
+		tk, err := lim.Acquire(ctx, overload.ClassNormal, time.Now())
 		if err != nil {
 			t.Fatalf("acquire: %v", err)
 		}
@@ -160,7 +160,7 @@ func TestRouterRetryAfterHint(t *testing.T) {
 		t.Fatalf("fleet hint %v not above the idle shard's %v", loaded, r.Engine(1).RetryAfterHint())
 	}
 	for _, tk := range held {
-		lim.Release(tk, false)
+		lim.Release(tk, time.Now(), false)
 	}
 }
 

@@ -57,13 +57,13 @@ func TestMirrorRoundTrip(t *testing.T) {
 		off int64
 		n   int
 	}{
-		{0, MirrorPageSize},            // aligned full page
-		{MirrorPageSize, 3 * MirrorPageSize}, // aligned multi-page
-		{100, 50},                      // sub-page
-		{MirrorPageSize - 10, 20},      // straddles a page boundary
+		{0, MirrorPageSize},                            // aligned full page
+		{MirrorPageSize, 3 * MirrorPageSize},           // aligned multi-page
+		{100, 50},                                      // sub-page
+		{MirrorPageSize - 10, 20},                      // straddles a page boundary
 		{5*MirrorPageSize + 7, 2*MirrorPageSize + 100}, // unaligned multi-page
-		{0, 1 << 16},                   // big overwrite from zero
-		{0, 100},                       // aligned-start sub-page overwrite: tail pre-image required
+		{0, 1 << 16},                                   // big overwrite from zero
+		{0, 100},                                       // aligned-start sub-page overwrite: tail pre-image required
 	}
 	for i, w := range writes {
 		data := pattern(w.n, int64(i+1))

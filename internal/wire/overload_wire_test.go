@@ -122,7 +122,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	mb.failNext(1 << 30, engine.ErrOverload)
+	mb.failNext(1<<30, engine.ErrOverload)
 	var denied bool
 	var lastErr error
 	// The bucket starts full (10 tokens); each op earns 0.5 and may

@@ -101,6 +101,10 @@ else
         ./internal/wire/... \
         ./internal/integration
 fi
+# The limiter's admission state is shared lock-free (CAS on in-flight,
+# atomic queue depth and window sums): repeat its tests and the engine's
+# under the race detector so a rare interleaving gets several chances.
+go test -race -count=10 ./internal/overload ./internal/engine
 if [ -n "${CHECK_SCRUB:-}" ]; then
     CHECK_SCRUB=1 go test -run 'TestScrubSoakLong|TestMirror' -count=1 -timeout 10m \
         ./internal/ssd \
