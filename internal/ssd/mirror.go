@@ -433,9 +433,13 @@ func (m *Mirror) ReadAt(off int64, length int, ch *sim.Charger) ([]byte, error) 
 	return buf[off-start : off-start+int64(length)], nil
 }
 
-// Trim forwards to both legs and drops the checksums of every overlapped
-// page (the data is dead; it re-verifies from its next write). A
-// quarantined page is released only when the trim covers it entirely.
+// Trim forwards to both legs and drops the checksums of every page it
+// covers entirely (the data is dead; it re-verifies from its next write).
+// A page it covers only in part still holds live bytes, so its checksum
+// is recomputed over its verified image with the trimmed range zeroed, as
+// the legs will hold it; only when no leg yields a verified image is that
+// checksum dropped too. A quarantined page is released only when the trim
+// covers it entirely.
 func (m *Mirror) Trim(off, length int64) error {
 	if off < 0 || length < 0 {
 		return ErrOutOfRange
@@ -445,18 +449,42 @@ func (m *Mirror) Trim(off, length int64) error {
 	if m.closed {
 		return ErrClosed
 	}
+	end := off + length
+	kept := map[int64]uint32{}
+	if length > 0 {
+		first, last := off/MirrorPageSize, (end-1)/MirrorPageSize
+		for _, p := range []int64{first, last} {
+			ps, pe := p*MirrorPageSize, (p+1)*MirrorPageSize
+			_, summed := m.sums[p]
+			_, quarantined := m.quar[p]
+			if !summed || quarantined || (off <= ps && end >= pe) {
+				continue
+			}
+			if _, done := kept[p]; done {
+				continue
+			}
+			img, err := m.preimageLocked(p, nil)
+			if err != nil {
+				continue
+			}
+			clear(img[max(off, ps)-ps : min(end, pe)-ps])
+			kept[p] = pageSum(img)
+		}
+	}
 	if err := m.legs[0].Trim(off, length); err != nil {
 		return err
 	}
 	if err := m.legs[1].Trim(off, length); err != nil {
 		return err
 	}
-	end := off + length
 	for p := off / MirrorPageSize; p*MirrorPageSize < end; p++ {
 		delete(m.sums, p)
 		if off <= p*MirrorPageSize && end >= (p+1)*MirrorPageSize {
 			delete(m.quar, p)
 		}
+	}
+	for p, sum := range kept {
+		m.sums[p] = sum
 	}
 	return nil
 }

@@ -418,6 +418,43 @@ func TestMirrorTrimDropsChecksumsAndQuarantine(t *testing.T) {
 	}
 }
 
+// TestMirrorPartialTrimKeepsLiveBytesVerified pins that a trim covering
+// only part of a page leaves the page's live bytes verifiable: a latent
+// flip on leg 0 in those bytes is still caught and served from leg 1,
+// and the trimmed range reads as zeros.
+func TestMirrorPartialTrimKeepsLiveBytesVerified(t *testing.T) {
+	m := testMirror()
+	data := pattern(2*MirrorPageSize, 67)
+	if err := m.WriteAt(0, data, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A latent flip in leg 0's copy of page 0, in bytes the trim keeps.
+	inj := newScript()
+	inj.onWrite[1] = FaultOutcome{Flip: true, FlipBit: 8 * 3000}
+	m.Leg(0).SetFaultInjector(inj)
+	if err := m.Leg(0).WriteAt(0, data[:MirrorPageSize], nil); err != nil {
+		t.Fatal(err)
+	}
+	m.Leg(0).SetFaultInjector(nil)
+
+	// Trim [0, 1000): page 0 keeps bytes [1000, 4096).
+	const cut = 1000
+	if err := m.Trim(0, cut); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.ReadAt(0, MirrorPageSize, nil)
+	if err != nil {
+		t.Fatalf("read of partly trimmed page: %v", err)
+	}
+	want := append(make([]byte, cut), data[cut:MirrorPageSize]...)
+	if !bytes.Equal(got, want) {
+		t.Fatal("partly trimmed page served leg 0's flipped bytes or kept trimmed ones")
+	}
+	if rep := m.MirrorStats().ReadRepairs.Value(); rep != 1 {
+		t.Fatalf("ReadRepairs = %d, want 1 (the flip repaired from leg 1)", rep)
+	}
+}
+
 func TestMirrorAggregateMeters(t *testing.T) {
 	m := testMirror()
 	data := pattern(8*MirrorPageSize, 71)
