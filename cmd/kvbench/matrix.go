@@ -8,9 +8,7 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -20,19 +18,6 @@ import (
 	"costperf/internal/ssd"
 	"costperf/internal/workload"
 )
-
-// matrixModeConfig drives -matrix.
-type matrixModeConfig struct {
-	scenarios string // comma list or "all"
-	stores    string // comma list
-	concs     string // comma list of worker counts
-	keys      uint64
-	ops       int
-	valueSize int
-	pool      int
-	seed      int64
-	benchOut  string
-}
 
 // matrixCell is one grid point's persisted result.
 type matrixCell struct {
@@ -71,18 +56,17 @@ type matrixBenchResults struct {
 }
 
 // runMatrixMode resolves the grid and runs it cell by cell.
-func runMatrixMode(cfg matrixModeConfig) {
-	scenarios := resolveScenarios(cfg.scenarios)
-	stores := splitList(cfg.stores)
-	concs := parseConcList(cfg.concs)
+func runMatrixMode(o options) {
+	scenarios := resolveScenarios(o.matrix)
+	stores := splitList(o.matrixStores)
+	concs := parseConcList(o.concs)
 	if len(stores) == 0 || len(concs) == 0 {
-		fmt.Fprintln(os.Stderr, "kvbench: -matrix needs at least one store and one concurrency")
-		os.Exit(2)
+		usage("-matrix needs at least one store and one concurrency")
 	}
 
 	fmt.Printf("matrix: %d scenarios x %d stores x %d concurrency = %d cells (%d keys / %d ops each, seed %d)\n",
 		len(scenarios), len(stores), len(concs), len(scenarios)*len(stores)*len(concs),
-		cfg.keys, cfg.ops, cfg.seed)
+		o.keys, o.ops, o.seed)
 	for _, sc := range scenarios {
 		fmt.Printf("  %s\n", sc.Describe())
 	}
@@ -92,7 +76,7 @@ func runMatrixMode(cfg matrixModeConfig) {
 	for _, storeName := range stores {
 		for _, sc := range scenarios {
 			for _, conc := range concs {
-				cell := runMatrixCell(sc, storeName, conc, cfg)
+				cell := runMatrixCell(sc, storeName, conc, o)
 				results.Cells = append(results.Cells, cell)
 				fmt.Printf("  %-32s %9.0f ops/s  p99=%7.0fus  shed=%-4d err=%-4d $/Mop=%8.3f be=%.0fs\n",
 					cell.Key, cell.OpsPerSec, cell.P99Micros, cell.Shed, cell.Errors,
@@ -101,54 +85,39 @@ func runMatrixMode(cfg matrixModeConfig) {
 		}
 	}
 
-	writeBenchSnapshot(benchOutPath(cfg.benchOut, "matrix"), "matrix", cfg.stores, map[string]any{
+	writeBenchSnapshot(benchOutPath(o.benchOut, "matrix"), "matrix", o.matrixStores, map[string]any{
 		"scenarios": scenarioNames(scenarios), "stores": stores, "concurrency": concs,
-		"keys": cfg.keys, "ops": cfg.ops, "value_size": cfg.valueSize,
-		"pool": cfg.pool, "seed": cfg.seed,
+		"keys": o.keys, "ops": o.ops, "value_size": o.valueSize,
+		"pool": o.pool, "seed": o.seed,
 	}, results)
 }
 
 // runMatrixCell builds a fresh store + engine, loads the keyspace clean,
 // then drives the scenario's deterministic op stream with conc workers.
-func runMatrixCell(sc workload.Scenario, storeName string, conc int, cfg matrixModeConfig) matrixCell {
+func runMatrixCell(sc workload.Scenario, storeName string, conc int, o options) matrixCell {
 	ops, err := workload.GenerateScenario(sc, workload.ScenarioConfig{
-		Keys: cfg.keys, ValueSize: cfg.valueSize, Ops: cfg.ops, Seed: cfg.seed,
+		Keys: o.keys, ValueSize: o.valueSize, Ops: o.ops, Seed: o.seed,
 	})
 	check(err)
 
-	dev := ssd.New(ssd.SamsungSSD)
-	reg := obs.NewRegistry()
-	tr := reg.Tracer(storeName)
-	dev.SetObserver(tr)
-	es := buildEngineStore(storeName, cfg.pool, dev, reg, tr)
-
-	bg := context.Background()
-	for i := uint64(0); i < cfg.keys; i++ {
-		check(es.Put(bg, workload.Key(i), workload.ValueFor(i, cfg.valueSize)))
-	}
-	dev.Stats().Reset()
-	reg.ResetAll() // measure the run, not the load
-
-	eng, err := engine.New(engine.Config{
-		Store:         es,
-		MaxConcurrent: conc,
-		Obs:           regTracer(reg, "engine"),
-	})
-	check(err)
-	rs := driveEngine(eng, ops, conc)
-	snap := tr.Snapshot()
+	b := buildStore(storeConfig{name: storeName, pool: o.pool, dev: ssd.SamsungSSD, obs: true})
+	b.load(o.keys, o.valueSize)
+	eng := b.engine(engine.Config{MaxConcurrent: conc})
+	var t tally
+	elapsed := drive(&t, eng, ops, conc, driveHooks{})
+	snap := b.tr.Snapshot()
 	check(eng.Close())
 
-	lat := rs.latency.Snapshot()
+	lat := t.latency.Snapshot()
 	return matrixCell{
 		Key:      fmt.Sprintf("%s/%s/c%d", sc.Name, storeName, conc),
 		Scenario: sc.Name, Store: storeName, Concurrency: conc,
 		Ops:       len(ops),
-		ElapsedMS: float64(rs.elapsed.Microseconds()) / 1000,
-		OpsPerSec: float64(len(ops)) / rs.elapsed.Seconds(),
+		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
+		OpsPerSec: float64(len(ops)) / elapsed.Seconds(),
 		P50Micros: lat.P50, P95Micros: lat.P95, P99Micros: lat.P99, MaxMicros: lat.Max,
-		Completed: rs.completed.Value(), Shed: rs.shed.Value(),
-		Timeouts: rs.timeouts.Value(), Errors: rs.fails.Value(),
+		Completed: t.completed.Value(), Shed: t.shed.Value(),
+		Timeouts: t.timeouts.Value(), Errors: t.fails.Value(),
 		Cost: snap.Export(core.PaperCosts()),
 	}
 }
@@ -163,9 +132,7 @@ func resolveScenarios(list string) []workload.Scenario {
 	for _, name := range splitList(list) {
 		sc, ok := workload.ScenarioByName(name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "kvbench: unknown scenario %q (have: %s)\n",
-				name, strings.Join(workload.ScenarioNames(), ", "))
-			os.Exit(2)
+			usage("unknown scenario %q (have: %s)", name, strings.Join(workload.ScenarioNames(), ", "))
 		}
 		out = append(out, sc)
 	}
@@ -197,8 +164,7 @@ func parseConcList(s string) []int {
 	for _, p := range splitList(s) {
 		n, err := strconv.Atoi(p)
 		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "kvbench: bad -matrix-conc element %q\n", p)
-			os.Exit(2)
+			usage("bad -matrix-conc element %q", p)
 		}
 		out = append(out, n)
 	}

@@ -15,9 +15,7 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"costperf/internal/core"
@@ -27,21 +25,6 @@ import (
 	"costperf/internal/ssd"
 	"costperf/internal/workload"
 )
-
-// overloadModeConfig drives -overload.
-type overloadModeConfig struct {
-	store     string
-	keys      uint64
-	ops       int
-	valueSize int
-	pool      int
-	seed      int64
-	limit     int // engine MaxConcurrent (adaptive: the starting limit)
-	queue     int
-	static    bool          // run the fixed-limit engine instead of the adaptive one
-	service   time.Duration // paced-store per-op service time (0 = raw store)
-	benchOut  string
-}
 
 // overloadStormFactor multiplies the baseline worker count during the
 // storm phase: the flash crowd is more clients, not just hotter keys.
@@ -133,13 +116,6 @@ func overloadScenario() workload.Scenario {
 	}
 }
 
-// taggedOp is one op plus its tenant's admission class.
-type taggedOp struct {
-	op     workload.Op
-	class  overload.Class
-	tagged bool // false: untagged, engine per-op default applies
-}
-
 // overloadPhaseResult is one phase's persisted measurement.
 type overloadPhaseResult struct {
 	Name    string `json:"name"`
@@ -187,70 +163,53 @@ type overloadBenchResults struct {
 
 // runOverloadMode builds the store behind an adaptive (or, with
 // -overload-static, fixed-limit) engine and drives the flash crowd.
-func runOverloadMode(cfg overloadModeConfig) {
+func runOverloadMode(o options) {
 	sc := overloadScenario()
-	phases, err := overloadPhaseOps(sc, workload.ScenarioConfig{
-		Keys: cfg.keys, ValueSize: cfg.valueSize, Ops: cfg.ops, Seed: cfg.seed,
+	phases, ctxs, err := overloadPhaseOps(sc, workload.ScenarioConfig{
+		Keys: o.keys, ValueSize: o.valueSize, Ops: o.ops, Seed: o.seed,
 	})
 	check(err)
 
 	mode := "adaptive"
-	if cfg.static {
+	if o.overloadStatic {
 		mode = "static"
 	}
 	fmt.Printf("overload: %s, store %s, %s limiter (start %d), service %v x%d, %d keys / %d ops, seed %d\n",
-		sc.Name, cfg.store, mode, cfg.limit, cfg.service, overloadServiceCap, cfg.keys, cfg.ops, cfg.seed)
+		sc.Name, o.store, mode, o.concurrency, o.overloadService, overloadServiceCap, o.keys, o.ops, o.seed)
 
-	dev := ssd.New(ssd.SamsungSSD)
-	reg := obs.NewRegistry()
-	tr := reg.Tracer(cfg.store)
-	dev.SetObserver(tr)
-	es := buildEngineStore(cfg.store, cfg.pool, dev, reg, tr)
-
-	bg := context.Background()
-	for i := uint64(0); i < cfg.keys; i++ {
-		check(es.Put(bg, workload.Key(i), workload.ValueFor(i, cfg.valueSize)))
-	}
-	dev.Stats().Reset()
-	reg.ResetAll() // measure the run, not the load
-
+	b := buildStore(storeConfig{name: o.store, pool: o.pool, dev: ssd.SamsungSSD, obs: true})
+	b.load(o.keys, o.valueSize)
 	// The load above goes through the raw store; only the measured run
 	// pays the service-time model.
-	drive := es
-	if cfg.service > 0 {
-		drive = newPacedStore(es, cfg.service)
+	var paced engine.Store
+	if o.overloadService > 0 {
+		paced = newPacedStore(b.store, o.overloadService)
 	}
-
-	engTr := regTracer(reg, "engine")
-	eng, err := engine.New(engine.Config{
-		Store:         drive,
-		MaxConcurrent: cfg.limit,
-		MaxQueue:      cfg.queue,
-		Adaptive:      !cfg.static,
-		Obs:           engTr,
+	eng := b.engine(engine.Config{
+		Store:         paced,
+		MaxConcurrent: o.concurrency,
+		MaxQueue:      o.queue,
+		Adaptive:      !o.overloadStatic,
 	})
-	check(err)
 
-	results := overloadBenchResults{ScenarioDef: sc, Adaptive: !cfg.static}
+	results := overloadBenchResults{ScenarioDef: sc, Adaptive: !o.overloadStatic}
 	lim := eng.Limiter().Stats()
-	for i, ph := range phases {
-		workers := cfg.limit / 2
-		if workers < 1 {
-			workers = 1
-		}
+	for i, ops := range phases {
+		workers := max(o.concurrency/2, 1)
 		if sc.Phases[i].Name == "storm" {
 			workers *= overloadStormFactor
 		}
 		shed0 := [4]int64{lim.ShedScan.Value(), lim.ShedLow.Value(), lim.ShedNormal.Value(), lim.ShedHigh.Value()}
-		rs := driveClassed(eng, ph, workers)
-		lat := rs.latency.Snapshot()
+		var t tally
+		elapsed := drive(&t, eng, ops, workers, driveHooks{ctx: func(j int) context.Context { return ctxs[i][j] }})
+		lat := t.latency.Snapshot()
 		pr := overloadPhaseResult{
-			Name: sc.Phases[i].Name, Workers: workers, Ops: len(ph),
-			ElapsedMS: float64(rs.elapsed.Microseconds()) / 1000,
-			OpsPerSec: float64(len(ph)) / rs.elapsed.Seconds(),
+			Name: sc.Phases[i].Name, Workers: workers, Ops: len(ops),
+			ElapsedMS: float64(elapsed.Microseconds()) / 1000,
+			OpsPerSec: float64(len(ops)) / elapsed.Seconds(),
 			P50Micros: lat.P50, P95Micros: lat.P95, P99Micros: lat.P99,
-			Completed: rs.completed.Value(), Shed: rs.shed.Value(),
-			Timeouts: rs.timeouts.Value(), Errors: rs.fails.Value(),
+			Completed: t.completed.Value(), Shed: t.shed.Value(),
+			Timeouts: t.timeouts.Value(), Errors: t.fails.Value(),
 			ShedScan:   lim.ShedScan.Value() - shed0[0],
 			ShedLow:    lim.ShedLow.Value() - shed0[1],
 			ShedNormal: lim.ShedNormal.Value() - shed0[2],
@@ -262,8 +221,8 @@ func runOverloadMode(cfg overloadModeConfig) {
 			pr.Name, pr.Workers, pr.OpsPerSec, pr.P99Micros, pr.Shed,
 			pr.ShedScan, pr.ShedLow, pr.ShedNormal, pr.ShedHigh, pr.LimitEnd)
 	}
-	storeSnap := tr.Snapshot()
-	engSnap := engTr.Snapshot()
+	storeSnap := b.tr.Snapshot()
+	engSnap := b.tracer("engine").Snapshot()
 	check(eng.Close())
 
 	base, recov := results.Phases[0], results.Phases[len(results.Phases)-1]
@@ -277,28 +236,31 @@ func runOverloadMode(cfg overloadModeConfig) {
 	fmt.Printf("reconvergence: %.2f (recovery %0.f ops/s / baseline %0.f ops/s), limit adjustments: %d\n",
 		results.Reconvergence, recov.OpsPerSec, base.OpsPerSec, results.LimitChanges)
 
-	writeBenchSnapshot(benchOutPath(cfg.benchOut, "overload"), "overload", cfg.store, map[string]any{
-		"scenario": sc.Name, "adaptive": !cfg.static, "limit": cfg.limit,
-		"queue": cfg.queue, "storm_factor": overloadStormFactor,
-		"service_us": cfg.service.Microseconds(), "service_cap": overloadServiceCap,
-		"keys": cfg.keys, "ops": cfg.ops, "value_size": cfg.valueSize,
-		"pool": cfg.pool, "seed": cfg.seed,
+	writeBenchSnapshot(benchOutPath(o.benchOut, "overload"), "overload", o.store, map[string]any{
+		"scenario": sc.Name, "adaptive": !o.overloadStatic, "limit": o.concurrency,
+		"queue": o.queue, "storm_factor": overloadStormFactor,
+		"service_us": o.overloadService.Microseconds(), "service_cap": overloadServiceCap,
+		"keys": o.keys, "ops": o.ops, "value_size": o.valueSize,
+		"pool": o.pool, "seed": o.seed,
 	}, results)
 }
 
-// overloadPhaseOps materialises the scenario's tagged op stream split per
-// phase, using the generator's own allotment math (frac share, rounding
-// remainder to the tail) so the split matches the stream exactly.
-func overloadPhaseOps(sc workload.Scenario, cfg workload.ScenarioConfig) ([][]taggedOp, error) {
+// overloadPhaseOps materialises the scenario's op stream split per phase,
+// using the generator's own allotment math (frac share, rounding
+// remainder to the tail) so the split matches the stream exactly. Each op
+// gets a context carrying its tenant's admission class; untagged ops get
+// Background, so the engine's per-op default applies.
+func overloadPhaseOps(sc workload.Scenario, cfg workload.ScenarioConfig) ([][]workload.Op, [][]context.Context, error) {
 	gen, err := workload.NewScenarioGen(sc, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var totalFrac float64
 	for _, p := range sc.Phases {
 		totalFrac += p.Frac
 	}
-	out := make([][]taggedOp, len(sc.Phases))
+	ops := make([][]workload.Op, len(sc.Phases))
+	ctxs := make([][]context.Context, len(sc.Phases))
 	allotted := 0
 	for i, p := range sc.Phases {
 		n := int(float64(cfg.Ops) * p.Frac / totalFrac)
@@ -306,74 +268,17 @@ func overloadPhaseOps(sc workload.Scenario, cfg workload.ScenarioConfig) ([][]ta
 			n = cfg.Ops - allotted
 		}
 		allotted += n
-		out[i] = make([]taggedOp, 0, n)
-		for j := 0; j < n; j++ {
+		ops[i], ctxs[i] = make([]workload.Op, n), make([]context.Context, n)
+		for j := range ops[i] {
 			op, class, ok := gen.NextTagged()
 			if !ok {
-				return nil, fmt.Errorf("kvbench: scenario stream ended early (phase %s op %d)", p.Name, j)
+				return nil, nil, fmt.Errorf("kvbench: scenario stream ended early (phase %s op %d)", p.Name, j)
 			}
-			to := taggedOp{op: op}
-			if class != "" {
-				if c, ok := overload.ParseClass(class); ok {
-					to.class, to.tagged = c, true
-				}
+			ops[i][j], ctxs[i][j] = op, context.Background()
+			if c, ok := overload.ParseClass(class); ok {
+				ctxs[i][j] = overload.WithClass(ctxs[i][j], c)
 			}
-			out[i] = append(out[i], to)
 		}
 	}
-	return out, nil
-}
-
-// driveClassed is driveEngine with two overload-specific changes: tagged
-// ops carry their tenant's class in the context (untagged ops take the
-// engine's per-op default), and the op stream is pre-split round-robin
-// across workers instead of fed through a shared channel. The shared
-// channel serializes dispatch — one handoff per op — which caps offered
-// concurrency far below the worker count for fast stores; pre-split
-// slices let every storm worker hammer admission simultaneously, which
-// is the whole point of the storm.
-func driveClassed(eng *engine.Engine, ops []taggedOp, workers int) *engineRunStats {
-	rs := &engineRunStats{}
-	bg := context.Background()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(ops); i += workers {
-				to := ops[i]
-				ctx := bg
-				if to.tagged {
-					ctx = overload.WithClass(bg, to.class)
-				}
-				t0 := time.Now()
-				var err error
-				switch to.op.Kind {
-				case workload.OpRead:
-					_, _, err = eng.Get(ctx, to.op.Key)
-				case workload.OpUpdate, workload.OpInsert, workload.OpBlindWrite:
-					err = eng.Put(ctx, to.op.Key, to.op.Value)
-				case workload.OpScan:
-					err = eng.Scan(ctx, to.op.Key, to.op.ScanLen, func(_, _ []byte) bool { return true })
-				case workload.OpDelete:
-					err = eng.Delete(ctx, to.op.Key)
-				}
-				rs.latency.Observe(float64(time.Since(t0).Microseconds()))
-				switch {
-				case err == nil:
-					rs.completed.Inc()
-				case errors.Is(err, engine.ErrOverload):
-					rs.shed.Inc()
-				case errors.Is(err, context.DeadlineExceeded):
-					rs.timeouts.Inc()
-				default:
-					rs.fails.Inc()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	rs.elapsed = time.Since(start)
-	return rs
+	return ops, ctxs, nil
 }

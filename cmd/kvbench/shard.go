@@ -8,31 +8,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"costperf/internal/core"
-	"costperf/internal/metrics"
 	"costperf/internal/obs"
 	"costperf/internal/shard"
-	"costperf/internal/workload"
 )
-
-// shardModeConfig drives -shards N [-migrate] [-resize] [-rebalance].
-type shardModeConfig struct {
-	shards         int
-	migrate        bool
-	resize         bool
-	rebalance      bool
-	keys           uint64
-	ops, valueSize int
-	mix, dist      string
-	seed           int64
-	concurrency    int
-	benchOut       string
-}
 
 // shardBenchSnapshot is the persisted BENCH_shard.json results block.
 type shardBenchSnapshot struct {
@@ -70,22 +53,28 @@ type shardBenchSnapshot struct {
 	PerShard          []shardCostRow `json:"per_shard"`
 }
 
+// shardMigrationResult records the -migrate cutover. OpsDuring counts
+// the ops that completed while it ran: the load it ran under.
 type shardMigrationResult struct {
 	Shard     int     `json:"shard"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	ShipBytes int64   `json:"ship_bytes"`
 	Resends   int64   `json:"resends"`
+	OpsDuring int64   `json:"ops_during"`
 }
 
 // shardResizeResult records the -resize arc: split the hottest shard at
-// 1/3 of the run, merge the children back at 2/3, all under load.
+// 1/3 of the run, merge the children back at 2/3, all under load (the
+// *OpsDuring fields count the ops that completed while each ran).
 type shardResizeResult struct {
-	SplitSlot int     `json:"split_slot"`
-	SplitLow  int     `json:"split_low"`
-	SplitHigh int     `json:"split_high"`
-	SplitMS   float64 `json:"split_ms"`
-	MergedTo  int     `json:"merged_to"`
-	MergeMS   float64 `json:"merge_ms"`
+	SplitSlot      int     `json:"split_slot"`
+	SplitLow       int     `json:"split_low"`
+	SplitHigh      int     `json:"split_high"`
+	SplitMS        float64 `json:"split_ms"`
+	SplitOpsDuring int64   `json:"split_ops_during"`
+	MergedTo       int     `json:"merged_to"`
+	MergeMS        float64 `json:"merge_ms"`
+	MergeOpsDuring int64   `json:"merge_ops_during"`
 }
 
 // shardRebalanceStep records one -rebalance Step that acted.
@@ -110,90 +99,48 @@ type shardCostRow struct {
 	BreakevenSec float64 `json:"breakeven_s"`
 }
 
-// runShardMode partitions the keyspace across cfg.shards fault domains
-// and drives the workload through the router with concurrent workers.
+// runShardMode partitions the keyspace across -shards fault domains and
+// drives the workload through the router with concurrent workers. The
+// split and the first rebalancer step start at 1/3 of the stream, the
+// migration at 1/2, the merge and the second step at 2/3; each runs
+// while the workers keep driving the rest, so every cutover happens
+// under load.
 // Observability is always on here: the fleet $/op roll-up is the result.
-func runShardMode(cfg shardModeConfig) {
-	if cfg.concurrency <= 0 {
-		cfg.concurrency = 4
+func runShardMode(o options) {
+	conc := o.concurrency
+	if conc <= 0 {
+		conc = 4
 	}
 	reg := obs.NewRegistry()
 	r, err := shard.New(shard.Config{
-		Shards:   cfg.shards,
+		Shards:   o.shards,
 		Registry: reg,
-		Seed:     cfg.seed,
+		Seed:     o.seed,
 	})
 	check(err)
 	defer r.Close()
 
 	ctx := context.Background()
-	fmt.Printf("loading %d keys across %d shards...\n", cfg.keys, cfg.shards)
-	for i := uint64(0); i < cfg.keys; i++ {
-		check(r.Put(ctx, workload.Key(i), workload.ValueFor(i, cfg.valueSize)))
-	}
+	fmt.Printf("loading %d keys across %d shards...\n", o.keys, o.shards)
+	load(r, o.keys, o.valueSize)
 	reg.ResetAll() // measure the run, not the load
-
-	gen, err := workload.NewGenerator(workload.GeneratorConfig{
-		Keys: cfg.keys, ValueSize: cfg.valueSize,
-		Mix: pickMix(cfg.mix), Chooser: pickChooser(cfg.dist, cfg.seed), Seed: cfg.seed,
-	})
-	check(err)
-	ops := make([]workload.Op, 0, cfg.ops)
-	for i := 0; i < cfg.ops; i++ {
-		ops = append(ops, gen.Next())
-	}
+	ops := o.opStream()
 
 	fmt.Printf("running %d ops (%s / %s) over %d shards with %d workers",
-		len(ops), cfg.mix, cfg.dist, cfg.shards, cfg.concurrency)
-	if cfg.migrate {
+		len(ops), o.mix, o.dist, o.shards, conc)
+	if o.migrate {
 		fmt.Print(", live migration at midpoint")
 	}
-	if cfg.resize {
+	if o.resize {
 		fmt.Print(", split at 1/3 + merge at 2/3")
 	}
-	if cfg.rebalance {
+	if o.rebalance {
 		fmt.Print(", cost-share rebalancer stepping at 1/3 and 2/3")
 	}
 	fmt.Println("...")
 
-	var (
-		completed, failed metrics.Counter
-		opCh              = make(chan workload.Op)
-		wg                sync.WaitGroup
-	)
-	for w := 0; w < cfg.concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for op := range opCh {
-				var err error
-				switch op.Kind {
-				case workload.OpRead:
-					_, _, err = r.Get(ctx, op.Key)
-				case workload.OpUpdate, workload.OpInsert, workload.OpBlindWrite:
-					err = r.Put(ctx, op.Key, op.Value)
-				case workload.OpScan:
-					err = r.Scan(ctx, op.Key, op.ScanLen, func(_, _ []byte) bool { return true })
-					// A partial scan still delivered the surviving shards'
-					// data; count it completed, the router metered it.
-					if errors.Is(err, shard.ErrPartialScan) {
-						err = nil
-					}
-				case workload.OpDelete:
-					err = r.Delete(ctx, op.Key)
-				}
-				if err == nil {
-					completed.Inc()
-				} else {
-					failed.Inc()
-				}
-			}
-		}()
-	}
-
 	var reb *shard.Rebalancer
-	if cfg.rebalance {
-		var err error
+	if o.rebalance {
 		reb, err = r.NewRebalancer(shard.RebalanceConfig{Base: core.PaperCosts()})
 		check(err)
 		// Seed the spend window: the first real Step sees the run's
@@ -203,6 +150,7 @@ func runShardMode(cfg shardModeConfig) {
 	}
 
 	var (
+		t        tally
 		migRes   *shardMigrationResult
 		resRes   *shardResizeResult
 		rebSteps []shardRebalanceStep
@@ -220,16 +168,14 @@ func runShardMode(cfg shardModeConfig) {
 			Share: act.Share, Fair: act.Fair, Reason: act.Reason,
 		})
 	}
-	send := func(lo, hi int) {
-		for _, op := range ops[lo:hi] {
-			opCh <- op
-		}
+	// run runs one cutover to completion and reports how long it took and
+	// how many ops completed meanwhile.
+	run := func(action interface{ Run(context.Context) error }) (ms float64, opsDuring int64) {
+		c0, t0 := t.completed.Value(), time.Now()
+		check(action.Run(ctx))
+		return float64(time.Since(t0).Microseconds()) / 1000, t.completed.Value() - c0
 	}
-	start := time.Now()
-	third, half, twoThird := len(ops)/3, len(ops)/2, 2*len(ops)/3
-
-	send(0, third)
-	if cfg.resize {
+	split := func() {
 		// Split the shard that carried the most traffic so far.
 		hot, hotOps := -1, int64(-1)
 		m := r.Map()
@@ -241,25 +187,17 @@ func runShardMode(cfg shardModeConfig) {
 		fmt.Printf("  splitting hottest shard %d under load...\n", hot)
 		s, err := r.Split(shard.SplitConfig{Shard: hot})
 		check(err)
-		t0 := time.Now()
-		check(s.Run(ctx))
-		low, high := s.Slots()
-		resRes = &shardResizeResult{
-			SplitSlot: hot, SplitLow: low, SplitHigh: high,
-			SplitMS: float64(time.Since(t0).Microseconds()) / 1000,
-		}
-		fmt.Printf("  split done in %.1fms (children %d, %d)\n", resRes.SplitMS, low, high)
+		resRes = &shardResizeResult{SplitSlot: hot}
+		resRes.SplitMS, resRes.SplitOpsDuring = run(s)
+		resRes.SplitLow, resRes.SplitHigh = s.Slots()
+		fmt.Printf("  split done in %.1fms (children %d, %d; %d ops completed meanwhile)\n",
+			resRes.SplitMS, resRes.SplitLow, resRes.SplitHigh, resRes.SplitOpsDuring)
 	}
-	if cfg.rebalance {
-		stepRebalancer(third)
-	}
-
-	send(third, half)
-	if cfg.migrate {
+	migrate := func() {
 		// Pick a live slot off the current map: with -resize the original
 		// slot numbers may already be retired.
 		m := r.Map()
-		idx := int(cfg.seed) % len(m.Entries)
+		idx := int(o.seed) % len(m.Entries)
 		if idx < 0 {
 			idx += len(m.Entries)
 		}
@@ -267,35 +205,72 @@ func runShardMode(cfg shardModeConfig) {
 		fmt.Printf("  migrating shard %d under load...\n", moving)
 		mg, err := r.Migrate(shard.MigrateConfig{Shard: moving})
 		check(err)
-		t0 := time.Now()
-		check(mg.Run(ctx))
-		migRes = &shardMigrationResult{
-			Shard:     moving,
-			ElapsedMS: float64(time.Since(t0).Microseconds()) / 1000,
-			ShipBytes: mg.Stats().BytesShipped.Value(),
-			Resends:   mg.Stats().Resends.Value(),
-		}
-		fmt.Printf("  cutover done in %.1fms (%dB shipped)\n", migRes.ElapsedMS, migRes.ShipBytes)
+		migRes = &shardMigrationResult{Shard: moving}
+		migRes.ElapsedMS, migRes.OpsDuring = run(mg)
+		migRes.ShipBytes, migRes.Resends = mg.Stats().BytesShipped.Value(), mg.Stats().Resends.Value()
+		fmt.Printf("  cutover done in %.1fms (%dB shipped; %d ops completed meanwhile)\n",
+			migRes.ElapsedMS, migRes.ShipBytes, migRes.OpsDuring)
 	}
-
-	send(half, twoThird)
-	if cfg.resize {
+	merge := func() {
 		fmt.Printf("  merging shards %d+%d back under load...\n", resRes.SplitLow, resRes.SplitHigh)
 		mg, err := r.Merge(shard.MergeConfig{Left: resRes.SplitLow, Right: resRes.SplitHigh})
 		check(err)
-		t0 := time.Now()
-		check(mg.Run(ctx))
+		resRes.MergeMS, resRes.MergeOpsDuring = run(mg)
 		resRes.MergedTo = mg.Slot()
-		resRes.MergeMS = float64(time.Since(t0).Microseconds()) / 1000
-		fmt.Printf("  merge done in %.1fms (slot %d)\n", resRes.MergeMS, resRes.MergedTo)
-	}
-	if cfg.rebalance {
-		stepRebalancer(twoThird)
+		fmt.Printf("  merge done in %.1fms (slot %d; %d ops completed meanwhile)\n",
+			resRes.MergeMS, resRes.MergedTo, resRes.MergeOpsDuring)
 	}
 
-	send(twoThird, len(ops))
-	close(opCh)
-	wg.Wait()
+	// Each boundary's action starts once that many ops have finished, on
+	// one action goroutine in boundary order, and runs alongside the rest
+	// of the stream.
+	type boundary struct {
+		at     int
+		action func()
+	}
+	third, half, twoThird := max(len(ops)/3, 1), max(len(ops)/2, 1), max(2*len(ops)/3, 1)
+	boundaries := []boundary{
+		{third, func() {
+			if o.resize {
+				split()
+			}
+			if o.rebalance {
+				stepRebalancer(third)
+			}
+		}},
+		{half, func() {
+			if o.migrate {
+				migrate()
+			}
+		}},
+		{twoThird, func() {
+			if o.resize {
+				merge()
+			}
+			if o.rebalance {
+				stepRebalancer(twoThird)
+			}
+		}},
+	}
+	queue, done := make(chan func(), len(boundaries)), make(chan struct{})
+	go func() {
+		defer close(done)
+		for action := range queue {
+			action()
+		}
+	}()
+	var finished atomic.Int64
+	start := time.Now()
+	drive(&t, r, ops, conc, driveHooks{after: func(int, error) {
+		n := int(finished.Add(1))
+		for _, b := range boundaries {
+			if b.at == n {
+				queue <- b.action
+			}
+		}
+	}})
+	close(queue)
+	<-done
 	elapsed := time.Since(start)
 
 	base := core.PaperCosts()
@@ -304,10 +279,11 @@ func runShardMode(cfg shardModeConfig) {
 
 	rs := r.Stats()
 	snap := shardBenchSnapshot{
-		Shards: cfg.shards, Ops: len(ops),
+		Shards: o.shards, Ops: len(ops),
 		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
 		OpsPerSec: float64(len(ops)) / elapsed.Seconds(),
-		Completed: completed.Value(), Errors: failed.Value(),
+		// The shard snapshot folds shed and timed-out ops into its errors.
+		Completed: t.completed.Value(), Errors: int64(len(ops)) - t.completed.Value(),
 		MovedRetries:    rs.MovedRetries.Value(),
 		CutoverTimeouts: rs.CutoverTimeouts.Value(),
 		PartialScans:    rs.PartialScans.Value(),
@@ -347,10 +323,10 @@ func runShardMode(cfg shardModeConfig) {
 	fmt.Println("\nfleet cost roll-up (measured per-shard model inputs, paper rates):")
 	fmt.Print(fleet.Table(base))
 
-	writeBenchSnapshot(benchOutPath(cfg.benchOut, "shard"), "shard", "tc", map[string]any{
-		"shards": cfg.shards, "migrate": cfg.migrate,
-		"resize": cfg.resize, "rebalance": cfg.rebalance,
-		"keys": cfg.keys, "ops": cfg.ops, "mix": cfg.mix, "dist": cfg.dist,
-		"value_size": cfg.valueSize, "seed": cfg.seed, "concurrency": cfg.concurrency,
+	writeBenchSnapshot(benchOutPath(o.benchOut, "shard"), "shard", "tc", map[string]any{
+		"shards": o.shards, "migrate": o.migrate,
+		"resize": o.resize, "rebalance": o.rebalance,
+		"keys": o.keys, "ops": o.ops, "mix": o.mix, "dist": o.dist,
+		"value_size": o.valueSize, "seed": o.seed, "concurrency": conc,
 	}, snap)
 }

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -13,22 +11,7 @@ import (
 	"costperf/internal/repl"
 	"costperf/internal/shard"
 	"costperf/internal/ssd"
-	"costperf/internal/workload"
 )
-
-// standbyModeConfig drives -standby: the workload runs through a
-// repl.Cluster — a primary transaction component whose recovery log is
-// continuously shipped to a warm standby, with semi-synchronous writes.
-type standbyModeConfig struct {
-	keys           uint64
-	ops, valueSize int
-	mix, dist      string
-	seed           int64
-	failover       bool    // force a promotion at the run's midpoint
-	pitrLSN        int64   // -1 off; 0 = midpoint checkpoint; >0 explicit LSN
-	netLoss        float64 // drop/dup/reorder probability on the ship link
-	obs            bool
-}
 
 // runStandbyMode drives the workload through a replicated pair and reports
 // shipping volume, replication lag, and the cost of the extra log-shipping
@@ -36,7 +19,7 @@ type standbyModeConfig struct {
 // midpoint (epoch bump fences the old primary; the run continues on the
 // promoted side). With -pitr-lsn the shipped log is replayed to a point in
 // time after the run.
-func runStandbyMode(cfg standbyModeConfig) {
+func runStandbyMode(o options) {
 	pdev := ssd.SamsungSSD
 	pdev.Name = "primary-log"
 	sdev := ssd.SamsungSSD
@@ -44,15 +27,15 @@ func runStandbyMode(cfg standbyModeConfig) {
 	primaryLog, standbyLog := ssd.New(pdev), ssd.New(sdev)
 
 	var net *fault.NetInjector
-	if cfg.netLoss > 0 {
-		net = fault.NewNetInjector(cfg.seed)
-		net.SetRates(cfg.netLoss, cfg.netLoss, cfg.netLoss)
-		fmt.Printf("ship link loss: drop/dup/reorder each at %.3f\n", cfg.netLoss)
+	if o.netLoss > 0 {
+		net = fault.NewNetInjector(o.seed)
+		net.SetRates(o.netLoss, o.netLoss, o.netLoss)
+		fmt.Printf("ship link loss: drop/dup/reorder each at %.3f\n", o.netLoss)
 	}
 
 	var reg *obs.Registry
 	var tr *obs.Tracer
-	if cfg.obs {
+	if o.obs {
 		reg = obs.NewRegistry()
 		tr = reg.Tracer("cluster")
 		primaryLog.SetObserver(tr)
@@ -69,86 +52,45 @@ func runStandbyMode(cfg standbyModeConfig) {
 		RetryMax:   5 * time.Millisecond,
 		Poll:       50 * time.Microsecond,
 		Window:     8,
-		Seed:       cfg.seed,
+		Seed:       o.seed,
 		Obs:        tr,
 	})
 	check(err)
 	defer cluster.Close()
 
-	ctx := context.Background()
-	fmt.Printf("loading %d keys through the replicated cluster...\n", cfg.keys)
-	for i := uint64(0); i < cfg.keys; i++ {
-		check(cluster.Put(ctx, workload.Key(i), workload.ValueFor(i, cfg.valueSize)))
-	}
+	fmt.Printf("loading %d keys through the replicated cluster...\n", o.keys)
+	load(cluster, o.keys, o.valueSize)
 	if reg != nil {
 		reg.ResetAll() // measure the run, not the load
 	}
+	ops := o.opStream()
 
-	gen, err := workload.NewGenerator(workload.GeneratorConfig{
-		Keys: cfg.keys, ValueSize: cfg.valueSize,
-		Mix: pickMix(cfg.mix), Chooser: pickChooser(cfg.dist, cfg.seed), Seed: cfg.seed,
-	})
-	check(err)
-
-	fmt.Printf("running %d ops (%s / %s) through the cluster", cfg.ops, cfg.mix, cfg.dist)
-	if cfg.failover {
+	fmt.Printf("running %d ops (%s / %s) through the cluster", len(ops), o.mix, o.dist)
+	if o.failover {
 		fmt.Print(", failover at midpoint")
 	}
 	fmt.Println("...")
 
-	var acked, reads, fenced, timeouts, fails int
-	var ck repl.Checkpoint
+	// One worker, so the midpoint is quiesced: the standby's applied state
+	// is exactly the acknowledged prefix when the PITR target is recorded.
+	var t tally
 	start := time.Now()
-	for i := 0; i < cfg.ops; i++ {
-		if i == cfg.ops/2 {
-			// Quiesced midpoint: record a PITR target while the standby's
-			// applied state is exactly the acknowledged prefix.
-			ck = cluster.Standby().MarkCheckpoint()
-			fmt.Printf("  midpoint checkpoint: LSN %d (ts %d)\n", ck.LSN, ck.TS)
-			if cfg.failover {
-				check(cluster.Promote())
-				fmt.Printf("  promoted standby: epoch %d, old primary fenced\n", cluster.Epoch())
-			}
-		}
-		op := gen.Next()
-		var err error
-		switch op.Kind {
-		case workload.OpRead:
-			_, _, err = cluster.Get(ctx, op.Key)
-			if err == nil {
-				reads++
-				continue
-			}
-		case workload.OpUpdate, workload.OpInsert, workload.OpBlindWrite:
-			err = cluster.Put(ctx, op.Key, op.Value)
-		case workload.OpScan:
-			err = cluster.Scan(ctx, op.Key, op.ScanLen, func(_, _ []byte) bool { return true })
-			if err == nil {
-				reads++
-				continue
-			}
-		case workload.OpDelete:
-			err = cluster.Delete(ctx, op.Key)
-		}
-		switch {
-		case err == nil:
-			acked++
-		case errors.Is(err, repl.ErrFenced):
-			fenced++
-		case errors.Is(err, repl.ErrShipTimeout):
-			timeouts++
-		default:
-			fails++
-		}
+	drive(&t, cluster, ops[:len(ops)/2], 1, driveHooks{})
+	ck := cluster.Standby().MarkCheckpoint()
+	fmt.Printf("  midpoint checkpoint: LSN %d (ts %d)\n", ck.LSN, ck.TS)
+	if o.failover {
+		check(cluster.Promote())
+		fmt.Printf("  promoted standby: epoch %d, old primary fenced\n", cluster.Epoch())
 	}
+	drive(&t, cluster, ops[len(ops)/2:], 1, driveHooks{})
 	elapsed := time.Since(start)
 
 	st := cluster.Stats()
 	fmt.Println("\nresults (replicated mode, wall-clock):")
 	fmt.Printf("  elapsed: %v  (%.0f ops/sec)\n", elapsed.Round(time.Microsecond),
-		float64(cfg.ops)/elapsed.Seconds())
+		float64(len(ops))/elapsed.Seconds())
 	fmt.Printf("  reads=%d acked writes=%d fenced=%d ship-timeouts=%d errors=%d\n",
-		reads, acked, fenced, timeouts, fails)
+		t.reads.Value(), t.completed.Value()-t.reads.Value(), t.shed.Value(), t.timeouts.Value(), t.fails.Value())
 	fmt.Printf("  replication: %s\n", st.String())
 	fmt.Printf("  primary durable LSN: %d, standby applied LSN: %d (lag %dB)\n",
 		cluster.Primary().DurableLSN(), cluster.Standby().AppliedLSN(), cluster.Standby().LagBytes())
@@ -158,8 +100,8 @@ func runStandbyMode(cfg standbyModeConfig) {
 	fmt.Printf("  primary log device: %s\n", primaryLog.Stats().String())
 	fmt.Printf("  standby log device: %s\n", standbyLog.Stats().String())
 
-	if cfg.pitrLSN >= 0 {
-		target := cfg.pitrLSN
+	if o.pitrLSN >= 0 {
+		target := o.pitrLSN
 		if target == 0 {
 			target = ck.LSN
 		}

@@ -6,7 +6,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -17,76 +16,35 @@ import (
 
 	"costperf/internal/core"
 	"costperf/internal/engine"
-	"costperf/internal/metrics"
 	"costperf/internal/obs"
 	"costperf/internal/ssd"
 	"costperf/internal/wire"
-	"costperf/internal/workload"
 )
-
-// wireModeConfig carries the flags both wire modes share.
-type wireModeConfig struct {
-	store     string
-	keys      uint64
-	ops       int
-	mix       string
-	dist      string
-	valueSize int
-	pool      int
-	seed      int64
-
-	addr     string // -serve or -connect target
-	conns    int    // client connections
-	pipeline int    // per-connection in-flight depth
-	benchOut string // JSON snapshot path
-
-	concurrency int // engine MaxConcurrent (0 = default)
-	queue       int // engine MaxQueue (0 = default)
-	deadline    time.Duration
-}
 
 // newWireEngine builds the chosen store behind the engine front-end, the
 // backend both wire modes serve. The device runs clean: wire mode measures
 // the connection path, not injected device faults. The store is traced
 // (internal/obs) so the persisted snapshot carries the live $/op and
 // breakeven the matrix snapshots get — one comparable schema.
-func newWireEngine(cfg wireModeConfig) (*engine.Engine, *obs.Registry) {
-	dev := ssd.New(ssd.Config{Name: "dev", MaxIOPS: 1e6, LatencySec: 20e-6})
-	reg := obs.NewRegistry()
-	tr := reg.Tracer(cfg.store)
-	dev.SetObserver(tr)
-	es := buildEngineStore(cfg.store, cfg.pool, dev, reg, tr)
-
-	fmt.Printf("loading %d keys into %s...\n", cfg.keys, cfg.store)
-	bg := context.Background()
-	for i := uint64(0); i < cfg.keys; i++ {
-		check(es.Put(bg, workload.Key(i), workload.ValueFor(i, cfg.valueSize)))
-	}
-	dev.Stats().Reset()
-	reg.ResetAll() // measure the served run, not the load
-
-	eng, err := engine.New(engine.Config{
-		Store:          es,
-		MaxConcurrent:  cfg.concurrency,
-		MaxQueue:       cfg.queue,
-		DefaultTimeout: cfg.deadline,
-		Obs:            regTracer(reg, "engine"),
-	})
-	check(err)
-	return eng, reg
+func newWireEngine(o options) (*engine.Engine, *bench) {
+	b := buildStore(storeConfig{name: o.store, pool: o.pool,
+		dev: ssd.Config{Name: "dev", MaxIOPS: 1e6, LatencySec: 20e-6}, obs: true})
+	fmt.Printf("loading %d keys into %s...\n", o.keys, o.store)
+	b.load(o.keys, o.valueSize)
+	return b.engine(engine.Config{MaxConcurrent: o.concurrency, MaxQueue: o.queue, DefaultTimeout: o.deadline}), b
 }
 
-// runWireServe listens on cfg.addr and serves the store until SIGINT/TERM,
+// runWireServe listens on -serve and serves the store until SIGINT/TERM,
 // then drains gracefully: in-flight requests finish and ack before the
 // connections close.
-func runWireServe(cfg wireModeConfig) {
-	eng, _ := newWireEngine(cfg)
-	srv, err := wire.NewServer(wire.ServerConfig{Backend: eng, MaxInFlight: cfg.pipeline})
+func runWireServe(o options) {
+	eng, _ := newWireEngine(o)
+	srv, err := wire.NewServer(wire.ServerConfig{Backend: eng, MaxInFlight: o.pipeline})
 	check(err)
-	l, err := net.Listen("tcp", cfg.addr)
+	l, err := net.Listen("tcp", o.serve)
 	check(err)
 	fmt.Printf("serving %s on %s (pipeline window %d); SIGINT drains\n",
-		cfg.store, l.Addr(), cfg.pipeline)
+		o.store, l.Addr(), o.pipeline)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -152,19 +110,19 @@ type wireServerSnapshot struct {
 	InFlightPeak int64 `json:"in_flight_peak"`
 }
 
-// runWireLoad drives the workload through cfg.conns wire clients, each
-// with cfg.pipeline concurrent requests in flight. "-connect self" spins
+// runWireLoad drives the workload through -conns wire clients, each
+// with -pipeline concurrent requests in flight. "-connect self" spins
 // up an in-process server on a loopback listener first, so one command
 // exercises the full path.
-func runWireLoad(cfg wireModeConfig) {
-	addr := cfg.addr
+func runWireLoad(o options) {
+	addr := o.connect
 	var srv *wire.Server
 	var eng *engine.Engine
-	var reg *obs.Registry
+	var b *bench
 	if addr == "self" {
-		eng, reg = newWireEngine(cfg)
+		eng, b = newWireEngine(o)
 		var err error
-		srv, err = wire.NewServer(wire.ServerConfig{Backend: eng, MaxInFlight: cfg.pipeline})
+		srv, err = wire.NewServer(wire.ServerConfig{Backend: eng, MaxInFlight: o.pipeline})
 		check(err)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		check(err)
@@ -172,85 +130,47 @@ func runWireLoad(cfg wireModeConfig) {
 		addr = l.Addr().String()
 		fmt.Printf("in-process server on %s\n", addr)
 	}
+	ops := o.opStream()
 
-	gen, err := workload.NewGenerator(workload.GeneratorConfig{
-		Keys: cfg.keys, ValueSize: cfg.valueSize,
-		Mix: pickMix(cfg.mix), Chooser: pickChooser(cfg.dist, cfg.seed), Seed: cfg.seed,
-	})
-	check(err)
-	ops := make([]workload.Op, 0, cfg.ops)
-	for i := 0; i < cfg.ops; i++ {
-		ops = append(ops, gen.Next())
-	}
-
-	clients := make([]*wire.Client, cfg.conns)
+	clients := make([]*wire.Client, o.conns)
 	for i := range clients {
+		var err error
 		clients[i], err = wire.NewClient(wire.ClientConfig{
 			Dial:        func() (net.Conn, error) { return net.Dial("tcp", addr) },
-			Seed:        cfg.seed + int64(i),
-			MaxInFlight: cfg.pipeline,
+			Seed:        o.seed + int64(i),
+			MaxInFlight: o.pipeline,
 		})
 		check(err)
 	}
 
 	fmt.Printf("running %d ops (%s / %s) over %d conns x %d pipeline...\n",
-		len(ops), cfg.mix, cfg.dist, cfg.conns, cfg.pipeline)
+		len(ops), o.mix, o.dist, o.conns, o.pipeline)
 
-	var (
-		latency                 metrics.Histogram // client-observed, microseconds
-		completed, shed, failed metrics.Counter
-		opCh                    = make(chan workload.Op)
-		wg                      sync.WaitGroup
-	)
-	bg := context.Background()
+	// Each connection takes a contiguous share of the stream and drives it
+	// with -pipeline workers, which keep its in-flight window full.
+	var t tally
+	var wg sync.WaitGroup
 	start := time.Now()
-	for _, cl := range clients {
-		// cfg.pipeline workers per connection keep its in-flight window full.
-		for w := 0; w < cfg.pipeline; w++ {
-			wg.Add(1)
-			go func(cl *wire.Client) {
-				defer wg.Done()
-				for op := range opCh {
-					t0 := time.Now()
-					var err error
-					switch op.Kind {
-					case workload.OpRead:
-						_, _, err = cl.Get(bg, op.Key)
-					case workload.OpUpdate, workload.OpInsert, workload.OpBlindWrite:
-						err = cl.Put(bg, op.Key, op.Value)
-					case workload.OpScan:
-						err = cl.Scan(bg, op.Key, op.ScanLen, func(_, _ []byte) bool { return true })
-					case workload.OpDelete:
-						err = cl.Delete(bg, op.Key)
-					}
-					latency.Observe(float64(time.Since(t0).Microseconds()))
-					switch {
-					case err == nil:
-						completed.Inc()
-					case errors.Is(err, engine.ErrOverload):
-						shed.Inc()
-					default:
-						failed.Inc()
-					}
-				}
-			}(cl)
-		}
+	for c, cl := range clients {
+		lo, hi := c*len(ops)/len(clients), (c+1)*len(ops)/len(clients)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drive(&t, cl, ops[lo:hi], o.pipeline, driveHooks{})
+		}()
 	}
-	for _, op := range ops {
-		opCh <- op
-	}
-	close(opCh)
 	wg.Wait()
 	elapsed := time.Since(start)
 
+	// The wire snapshot has no timeouts column: a deadline miss is an error.
 	snap := wireBenchSnapshot{
-		Store: cfg.store, Conns: cfg.conns, Pipeline: cfg.pipeline,
-		Mix: cfg.mix, Dist: cfg.dist, Keys: cfg.keys, Ops: len(ops),
+		Store: o.store, Conns: o.conns, Pipeline: o.pipeline,
+		Mix: o.mix, Dist: o.dist, Keys: o.keys, Ops: len(ops),
 		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
 		OpsPerSec: float64(len(ops)) / elapsed.Seconds(),
-		Completed: completed.Value(), Shed: shed.Value(), Errors: failed.Value(),
+		Completed: t.completed.Value(), Shed: t.shed.Value(), Errors: t.timeouts.Value() + t.fails.Value(),
 	}
-	lat := latency.Snapshot()
+	lat := t.latency.Snapshot()
 	snap.P50Micros, snap.P95Micros, snap.P99Micros, snap.MaxMicros = lat.P50, lat.P95, lat.P99, lat.Max
 	for _, cl := range clients {
 		st := cl.Stats()
@@ -267,7 +187,7 @@ func runWireLoad(cfg wireModeConfig) {
 			DedupHits: st.DedupHits.Value(), Evicted: st.Evicted.Value(),
 			BadFrames: st.BadFrames.Value(), InFlightPeak: st.InFlightPeak.Value(),
 		}
-		cost := reg.Tracer(cfg.store).Snapshot().Export(core.PaperCosts())
+		cost := b.tr.Snapshot().Export(core.PaperCosts())
 		snap.Cost = &cost
 		check(srv.Close())
 		check(eng.Close())
@@ -289,9 +209,9 @@ func runWireLoad(cfg wireModeConfig) {
 			snap.Cost.DollarPerMop, snap.Cost.BreakevenSec, snap.Cost.F, snap.Cost.R)
 	}
 
-	writeBenchSnapshot(benchOutPath(cfg.benchOut, "wire"), "wire", cfg.store, map[string]any{
-		"keys": cfg.keys, "ops": cfg.ops, "mix": cfg.mix, "dist": cfg.dist,
-		"value_size": cfg.valueSize, "seed": cfg.seed,
-		"conns": cfg.conns, "pipeline": cfg.pipeline,
+	writeBenchSnapshot(benchOutPath(o.benchOut, "wire"), "wire", o.store, map[string]any{
+		"keys": o.keys, "ops": o.ops, "mix": o.mix, "dist": o.dist,
+		"value_size": o.valueSize, "seed": o.seed,
+		"conns": o.conns, "pipeline": o.pipeline,
 	}, snap)
 }

@@ -2,7 +2,8 @@
 # check.sh — the repo's full verification pass: vet, build, the complete
 # test suite, the perfbench module's vet and race-enabled tests, and a
 # race-enabled run of the concurrency-sensitive storage packages (the ones
-# the fault-injection, crash-recovery, and engine front-end work hardens).
+# the fault-injection, crash-recovery, and engine front-end work hardens)
+# and of kvbench, whose driver workers share one outcome tally.
 #
 # Set CHECK_SHORT=1 for the CI-friendly variant: identical coverage, but
 # the seeded chaos/crash matrices run their -short subset of seeds.
@@ -99,7 +100,8 @@ else
         ./internal/repl \
         ./internal/shard \
         ./internal/wire/... \
-        ./internal/integration
+        ./internal/integration \
+        ./cmd/kvbench
 fi
 # The limiter's admission state is shared lock-free (CAS on in-flight,
 # atomic queue depth and window sums): repeat its tests and the engine's
