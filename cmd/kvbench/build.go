@@ -1,7 +1,7 @@
 // The one store builder: every kvbench mode that runs a single store
 // (direct, engine, wire, matrix, overload) gets its device, tracer and
-// store from buildStore, loads it through load, and fronts it with the
-// engine through bench.engine.
+// store from buildStore and loads it through load; all but direct mode
+// then front it with the engine through bench.engine.
 package main
 
 import (
